@@ -119,6 +119,13 @@ def cmd_oracle(args) -> int:
     else:
         market = load_market(args.market)
         label = args.market
+        diagnostics = validate_market(market)
+        for sev, msg in diagnostics:
+            if sev == "warning":
+                print(f"capmatch: warning: {msg}", file=sys.stderr)
+        errors = [msg for sev, msg in diagnostics if sev == "error"]
+        if errors:
+            raise ValueError(f"{label} is not a valid market: " + "; ".join(errors))
     result = census(market)
     doc = {
         "market": label,

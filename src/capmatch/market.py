@@ -90,6 +90,13 @@ class Market:
                 if 0 <= s < self.n_students and row[s] is None:
                     row[s] = pos + 1
             self._rank.append(row)
+        # colleges whose list is not a permutation of the students: a list of
+        # length n that ranks every student holds each exactly once
+        self._non_permutation_priorities = tuple(
+            c
+            for c, (plist, row) in enumerate(zip(self.priorities, self._rank))
+            if len(plist) != self.n_students or None in row
+        )
 
         # _pref_pos[s][(c, r)] = 0-based position, first occurrence wins.
         self._pref_pos: list[dict[Pair, int]] = []
@@ -322,16 +329,14 @@ def validate_market(m: Market) -> list[tuple[str, str]]:
                     ("error", f"resource {i + 1} region names unknown college {c}")
                 )
 
-    expected = list(range(m.n_students))
-    for c, plist in enumerate(m.priorities):
-        if sorted(plist) != expected:
-            out.append(
-                (
-                    "error",
-                    f"college {c} priority list is not a permutation of the "
-                    f"{m.n_students} students",
-                )
+    for c in m._non_permutation_priorities:
+        out.append(
+            (
+                "error",
+                f"college {c} priority list is not a permutation of the "
+                f"{m.n_students} students",
             )
+        )
 
     for s, prefs in enumerate(m.preferences):
         seen: set[Pair] = set()

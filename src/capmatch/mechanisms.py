@@ -15,14 +15,27 @@ v + 1 at that college, so the induced matching is maintained incrementally:
 re-seat that student onto her favorite newly opened pair when she likes it
 better, delta-check feasibility, revert the raise if the move breaks it.
 
+irc keeps its drawable entries as a sorted index list, so a draw costs one
+index and a bisect instead of a scan of every entry.
+
 rsd lets students pick their favorite still-feasible contract in a random
 order. csd repeatedly grants, among all unmatched students' current favorite
-feasible contracts, the one whose student the target college ranks best.
+feasible contracts, the one whose student the target college ranks best. It
+keeps those contracts in a heap keyed by rank and re-seats only the students
+whose college or resource a grant fills, so a run costs about as much as
+walking every preference list once plus a heap operation per grant and per
+re-seat, not a scan of every unmatched student per grant.
+
+Both draw exactly as a full rescan would, with the same bound and the same
+element, so their seeded traces equal those of the rescanning loops kept in
+tests/test_golden.py.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
+from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -66,14 +79,10 @@ def replay_trace(m: Market, trace: RunTrace) -> Matching:
 
 def _require_runnable(m: Market) -> None:
     """Mechanisms index priority lists positionally, so they must be
-    permutations. Cached on the market after the first check."""
-    if getattr(m, "_priorities_checked", False):
-        return
-    expected = list(range(m.n_students))
-    for c, plist in enumerate(m.priorities):
-        if sorted(plist) != expected:
-            raise ValueError(f"college {c} priority list is not a permutation")
-    m._priorities_checked = True
+    permutations (worked out once, when the market is built)."""
+    if m._non_permutation_priorities:
+        c = m._non_permutation_priorities[0]
+        raise ValueError(f"college {c} priority list is not a permutation")
 
 
 class _Engine:
@@ -171,26 +180,36 @@ def run_irc(m: Market, seed: Optional[int] = None) -> RunTrace:
     raise are skipped (a failed raise is a no-op, so skipping just censors
     wasted draws); any accepted raise clears that memory. Terminates when
     every non-maximal entry has a recorded failure.
+
+    The drawable entries are kept as `active`, a sorted list of indices into
+    the college-major entry order, so a draw costs one index and not a scan
+    of all C * (R + 1) entries. A failed entry leaves `active` and waits in
+    `failed`; an accepted raise puts the failures back and drops the entries
+    it pushed to n. Each update is a bisect on a list of at most C * (R + 1)
+    indices.
     """
     _require_runnable(m)
     rng = np.random.default_rng(seed)
     eng = _Engine(m)
     n = m.n_students
-    entries = [
-        (c, r) for c in range(m.n_colleges) for r in range(m.n_resources + 1)
-    ]
-    failed: set[tuple[int, int]] = set()
-    while True:
-        candidates = [
-            e for e in entries if eng.K[e[0]][e[1]] < n and e not in failed
-        ]
-        if not candidates:
-            break
-        c, r = candidates[int(rng.integers(len(candidates)))]
-        if eng.try_raise(c, _coupled(eng.K[c], r)):
+    width = m.n_resources + 1
+    active = list(range(m.n_colleges * width)) if n else []
+    failed: list[int] = []
+    while active:
+        i = active[int(rng.integers(len(active)))]
+        c, r = divmod(i, width)
+        rs = _coupled(eng.K[c], r)
+        if eng.try_raise(c, rs):
+            for j in failed:
+                insort(active, j)
             failed.clear()
+            row = eng.K[c]
+            for x in rs:
+                if row[x] == n:
+                    del active[bisect_left(active, c * width + x)]
         else:
-            failed.add((c, r))
+            del active[bisect_left(active, i)]
+            failed.append(i)
     return eng.finish("irc", seed)
 
 
@@ -330,55 +349,91 @@ def run_rsd(
 def run_csd(m: Market, seed: Optional[int] = None) -> RunTrace:
     """Colleges' favorite claimant goes first, one grant per round.
 
-    Each round collects every unmatched student's favorite still-feasible
+    Each round looks at every unmatched student's favorite still-feasible
     contract and grants the one whose student is ranked best by its college,
-    breaking rank ties uniformly at random. Capacities only ever shrink
-    during a run, so each student's scan position never moves backwards.
+    breaking rank ties uniformly at random among the tied students in
+    ascending id order. Capacities only ever shrink during a run, so each
+    student's scan position never moves backwards.
+
+    A heap holds (rank at the current contract, student, version) per
+    unmatched student with options left, and every college and resource keeps
+    the students whose current contract uses it. A contract only becomes
+    infeasible when its college or resource fills, so a grant that fills one
+    re-seats just that list's students: their pointers advance, their
+    versions bump (stale heap entries are skipped) and fresh entries go in.
+    A round pops every valid entry at the minimum rank, which comes out in
+    ascending student id, and pushes the losers back. A run walks each
+    preference list at most once and makes one heap push per seat, re-seat
+    and returned loser, instead of scanning every unmatched student per
+    grant.
     """
     _require_runnable(m)
     rng = np.random.default_rng(seed)
+    prefs = m.preferences
     ccount = [0] * m.n_colleges
     rcount = [0] * (m.n_resources + 1)
+    # index of s's current contract in her list; len(prefs[s]) once she is
+    # matched or out of options
     pointer = [0] * m.n_students
-    unmatched = list(range(m.n_students))
+    version = [0] * m.n_students
+    by_college: list[list[int]] = [[] for _ in range(m.n_colleges)]
+    by_resource: list[list[int]] = [[] for _ in range(m.n_resources + 1)]
+    heap: list[tuple[int, int, int]] = []
     granted: list[Contract] = []
 
-    while True:
-        best_key = None
-        ties: list[tuple[int, int, int]] = []
-        still: list[int] = []
-        for s in unmatched:
-            prefs = m.preferences[s]
+    def seat(s: int) -> None:
+        """Advance s to her favorite feasible contract and queue her there."""
+        plist = prefs[s]
+        i = pointer[s]
+        while i < len(plist):
+            c, r = plist[i]
+            if ccount[c] < m.college_quotas[c] and (
+                r == EMPTY_RESOURCE
+                or (c in m.regions[r - 1] and rcount[r] < m.resource_quotas[r - 1])
+            ):
+                break
+            i += 1
+        pointer[s] = i
+        version[s] += 1  # also when she runs out, so no old entry stays valid
+        if i < len(plist):
+            c, r = plist[i]
+            by_college[c].append(s)
+            by_resource[r].append(s)
+            heapq.heappush(heap, (m._rank[c][s], s, version[s]))
+
+    def reseat(watchers: list[int], side: int, full: int) -> None:
+        """Re-seat the watchers whose current contract still uses the filled
+        college (side 0) or resource (side 1); the list is spent after."""
+        for s in watchers:
             i = pointer[s]
-            while i < len(prefs):
-                c, r = prefs[i]
-                if ccount[c] < m.college_quotas[c] and (
-                    r == EMPTY_RESOURCE
-                    or (
-                        c in m.regions[r - 1]
-                        and rcount[r] < m.resource_quotas[r - 1]
-                    )
-                ):
-                    break
-                i += 1
-            pointer[s] = i
-            if i >= len(prefs):
-                continue  # permanently out of options
-            still.append(s)
-            c, r = prefs[i]
-            key = m._rank[c][s]
-            if best_key is None or key < best_key:
-                best_key = key
-                ties = [(s, c, r)]
-            elif key == best_key:
-                ties.append((s, c, r))
-        if best_key is None:
-            break
-        s, c, r = ties[int(rng.integers(len(ties)))]
+            if i < len(prefs[s]) and prefs[s][i][side] == full:
+                seat(s)
+        watchers.clear()
+
+    for s in range(m.n_students):
+        seat(s)
+    while heap:
+        key, s, v = heapq.heappop(heap)
+        if v != version[s]:
+            continue
+        ties = [(key, s, v)]
+        while heap and heap[0][0] == key:
+            entry = heapq.heappop(heap)
+            if entry[2] == version[entry[1]]:
+                ties.append(entry)
+        k = int(rng.integers(len(ties)))
+        _, s, _ = ties.pop(k)
+        for entry in ties:
+            heapq.heappush(heap, entry)
+        c, r = prefs[s][pointer[s]]
         granted.append(Contract(s, c, r))
+        pointer[s] = len(prefs[s])
         ccount[c] += 1
         rcount[r] += 1
-        unmatched = [t for t in still if t != s]
+        if ccount[c] == m.college_quotas[c]:
+            reseat(by_college[c], 0, c)
+        if r != EMPTY_RESOURCE and rcount[r] == m.resource_quotas[r - 1]:
+            reseat(by_resource[r], 1, r)
 
     return RunTrace(
         mechanism="csd",

@@ -138,6 +138,26 @@ def test_oracle_on_a_market_file(tmp_path, capsys):
     assert "expectations" not in doc
 
 
+def test_oracle_refuses_an_invalid_market_file(tmp_path, capsys):
+    from capmatch import load_fixture
+    from capmatch.market import market_to_dict
+
+    doc = market_to_dict(load_fixture("example1"))
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    assert main(["oracle", "--market", str(path)]) == 0
+    err = capsys.readouterr().err
+    assert "warning: student 0 lists (0,1) without (0,0) after it" in err
+
+    doc["priorities"] = [[0, 0], [0, 1]]
+    path.write_text(json.dumps(doc))
+    assert main(["oracle", "--market", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error" in captured.err
+    assert "college 0 priority list is not a permutation" in captured.err
+
+
 def test_oracle_argument_errors(capsys):
     assert main(["oracle"]) == 1
     assert main(["oracle", "--fixture", "example1", "--market", "x.json"]) == 1
