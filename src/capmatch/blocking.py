@@ -38,6 +38,7 @@ from .market import (
     Contract,
     Market,
     Matching,
+    Pair,
     is_feasible,
     is_individually_rational,
 )
@@ -123,90 +124,59 @@ def _has_direct_victim(x: Contract, victims: list[Contract]) -> bool:
     return any(y.resource == r for y in victims)
 
 
-def _direct_envy_after_move(
-    m: Market, st: _State, moved: Contract, xp: Contract
-) -> bool:
-    """Is xp direct-envy-blocking under mu' = mu with moved.student re-seated
-    onto `moved`? Only colleges equal to xp.college are ever queried, so the
-    overlay is evaluated lazily instead of copying the whole state."""
-    s_moved = moved.student
-    prev = st.assign[s_moved]
-    s2, c, r2 = xp
-    rank_row = m._rank[c]
-    rs2 = rank_row[s2]
-    if rs2 is None:
-        return False
-
-    # roster of c under mu'
-    roster_c = [y for y in st.roster[c] if y.student != s_moved]
-    if moved.college == c:
-        roster_c.append(moved)
-
-    # resource count under mu'
-    def rcount_prime(r: int) -> int:
-        cnt = st.rcount[r]
-        if prev is not None and prev.resource == r:
-            cnt -= 1
-        if moved.resource == r:
-            cnt += 1
-        return cnt
-
-    cur2 = st.assign[s2] if s2 != s_moved else moved
-    for y in roster_c:
-        ry = rank_row[y.student]
-        if ry is None or rs2 >= ry:
-            continue
-        if r2 != EMPTY_RESOURCE:
-            if c not in m.regions[r2 - 1]:
-                continue
-            cnt = (
-                rcount_prime(r2)
-                + 1
-                - (1 if cur2 is not None and cur2.resource == r2 else 0)
-                - (1 if y.resource == r2 else 0)
-            )
-            if cnt > m.resource_quotas[r2 - 1]:
-                continue
-        if r2 == EMPTY_RESOURCE or y.resource == r2:
-            return True
-    return False
+def _improving_positions(m: Market, st: _State, s: int) -> range:
+    """Positions of the pairs s strictly prefers to her assignment under mu."""
+    cur = st.assign[s]
+    limit = m.pref_position(
+        s, (cur.college, cur.resource) if cur is not None else None
+    )
+    return range(min(limit, len(m.preferences[s])))
 
 
-def _find_witness(
-    m: Market,
-    st: _State,
-    x: Contract,
-    clean_under_mu: Callable[[Contract], bool],
-) -> Optional[Contract]:
-    """First contract dominating waste block x, or None.
+def _clean_candidates(
+    m: Market, st: _State, pairs: set[Pair], blocks_mu: Callable[[Contract], bool]
+) -> dict[Pair, list[tuple[int, int]]]:
+    """The clean candidates for each (college, resource) pair in `pairs`, as
+    (student, rank) rows in student order.
 
-    Candidates are the contracts at x's college that some student prefers to
-    her assignment under mu' (mu with x granted); anything else can never be
-    direct-envy-blocking there. clean_under_mu must say whether a candidate is
-    free of waste-blocking and direct-envy-blocking under mu itself.
+    A candidate is a contract its student prefers to her assignment under mu
+    at a college that ranks her. It is clean when blocks_mu says it neither
+    waste-blocks nor direct-envy-blocks mu.
     """
-    s, c, _ = x
-    for s2 in range(m.n_students):
-        if s2 == s:
-            limit = m.pref_position(s2, (x.college, x.resource))
-        else:
-            cur = st.assign[s2]
-            limit = m.pref_position(
-                s2, (cur.college, cur.resource) if cur is not None else None
-            )
-        prefs = m.preferences[s2]
-        for pos in range(min(limit, len(prefs))):
-            c2, r2 = prefs[pos]
-            if c2 != c:
-                continue
-            xp = Contract(s2, c2, r2)
-            if not clean_under_mu(xp):
-                continue
-            if _direct_envy_after_move(m, st, x, xp):
-                # every witness demands exactly the dominated block's
-                # (non-empty) resource; anything else indicates a bug
-                assert r2 == x.resource and r2 != EMPTY_RESOURCE, (x, xp)
-                return xp
+    buckets: dict[Pair, list[tuple[int, int]]] = {pair: [] for pair in pairs}
+    for s in range(m.n_students):
+        prefs = m.preferences[s]
+        for pos in _improving_positions(m, st, s):
+            bucket = buckets.get(prefs[pos])
+            if bucket is not None:
+                c, r = prefs[pos]
+                rs = m._rank[c][s]
+                if rs is not None and not blocks_mu(Contract(s, c, r)):
+                    bucket.append((s, rs))
+    return buckets
+
+
+def _dominating_witness(
+    m: Market, x: Contract, candidates: list[tuple[int, int]]
+) -> Optional[Contract]:
+    """First contract dominating waste block x = (s, c, r), or None.
+
+    candidates are the _clean_candidates for (c, r). A dominating x' =
+    (s', c, r') is clean under mu and direct-envy-blocks mu' (mu with x
+    granted). mu' is feasible, so x' direct-envy-blocks it exactly when c
+    ranks below s' someone at c who holds r' (anyone at c when r' is
+    empty). Clean x' has no such victim under mu, and granting x adds only s
+    holding r at c, so r' = r and c ranks s' above s. Then r is not empty:
+    a clean (s', c, empty) finds c full, so the waste block x keeps s at c,
+    where c ranks her above s' or she would be a victim under mu already.
+    """
+    s, c, r = x
+    rs = m._rank[c][s]
+    if rs is None:
+        return None
+    for s2, rs2 in candidates:
+        if rs2 < rs:
+            return Contract(s2, c, r)
     return None
 
 
@@ -276,16 +246,19 @@ def is_dominated(
     Raises ValueError when x does not waste-block mu (on top of the usual
     matching preconditions).
     """
-    if waste_block_class(m, mu, x) is None:
-        raise ValueError(f"contract {x} does not waste-block this matching")
+    _require_auditable(m, mu)
+    _require_candidate(m, mu, x)
     st = _State(m, mu)
+    if not _improves(m, x, st.assign[x.student]) or _waste_class(m, st, x) is None:
+        raise ValueError(f"contract {x} does not waste-block this matching")
 
-    def clean(xp: Contract) -> bool:
+    def blocks_mu(xp: Contract) -> bool:
         if _waste_class(m, st, xp) is not None:
-            return False
-        return not _has_direct_victim(xp, _envy_victims(m, st, xp))
+            return True
+        return _has_direct_victim(xp, _envy_victims(m, st, xp))
 
-    w = _find_witness(m, st, x, clean)
+    pair = (x.college, x.resource)
+    w = _dominating_witness(m, x, _clean_candidates(m, st, {pair}, blocks_mu)[pair])
     return (w is not None, w)
 
 
@@ -375,16 +348,11 @@ def audit(m: Market, mu: Matching) -> BlockingReport:
     waste_witnesses: list[tuple[Contract, str]] = []
     envy_witnesses: list[tuple[Contract, tuple[Contract, ...], bool]] = []
     waste_set: set[Contract] = set()
-    direct_set: set[Contract] = set()
     any_direct = False
 
     for s in range(m.n_students):
-        cur = st.assign[s]
         prefs = m.preferences[s]
-        limit = m.pref_position(
-            s, (cur.college, cur.resource) if cur is not None else None
-        )
-        for pos in range(min(limit, len(prefs))):
+        for pos in _improving_positions(m, st, s):
             c, r = prefs[pos]
             x = Contract(s, c, r)
             kind = _waste_class(m, st, x)
@@ -397,7 +365,6 @@ def audit(m: Market, mu: Matching) -> BlockingReport:
                 direct = _has_direct_victim(x, victims)
                 if direct:
                     counts[DIRECT_ENVY] += 1
-                    direct_set.add(x)
                     any_direct = True
                 else:
                     counts[INDIRECT_ENVY] += 1
@@ -417,15 +384,15 @@ def audit(m: Market, mu: Matching) -> BlockingReport:
                 break
 
     direct_envy_stable = not any_direct
-    if direct_envy_stable:
-
-        def clean(xp: Contract) -> bool:
-            return xp not in waste_set and xp not in direct_set
-
-        for x, _kind in waste_witnesses:
-            if _find_witness(m, st, x, clean) is None:
-                direct_envy_stable = False
-                break
+    if direct_envy_stable and waste_witnesses:
+        # no contract direct-envy-blocks mu here, so clean means not wasteful
+        pairs = {(x.college, x.resource) for x, _kind in waste_witnesses}
+        candidates = _clean_candidates(m, st, pairs, waste_set.__contains__)
+        direct_envy_stable = all(
+            _dominating_witness(m, x, candidates[(x.college, x.resource)])
+            is not None
+            for x, _kind in waste_witnesses
+        )
 
     return BlockingReport(
         counts=counts,

@@ -24,6 +24,8 @@ resource kind's quota are |S|, 2|S|, or |S|//2 (balanced / up / down).
 
 from __future__ import annotations
 
+import bisect
+import itertools
 from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
@@ -178,30 +180,38 @@ def _grid_order(
     Elements enter the frontier once everything above them has been emitted;
     the frontier never holds two pairs of one college, so college weights
     give an unambiguous pick distribution. weights=None picks uniformly.
+
+    Each college emits its pairs from resource r down, so the frontier is
+    kept as its colleges in ascending order (the order of the sorted pairs),
+    and college ci's frontier pair is (ci, top[ci] - 1). A weighted pick
+    inverts the cumulative distribution the way Generator.choice does: p =
+    w / sum(w), a running sum normalised by its last entry, one
+    rng.random() draw. It draws the same stream and picks the same pair as
+    rng.choice whenever the weight sum is exact, as it is for integer
+    weights.
     """
     c, r = cfg.n_colleges, cfg.n_resources
-    emitted = [[False] * (r + 1) for _ in range(c)]
-    frontier = {(c - 1, r)}
+    if weights is not None:
+        weights = [float(w) for w in weights]
+    top = [r + 1] * c  # college ci has emitted its pairs top[ci]..r
+    frontier = [c - 1]
     out: list[tuple[int, int]] = []
     while frontier:
-        items = sorted(frontier)
-        if weights is None or len(items) == 1:
-            pick = items[int(rng.integers(len(items)))]
+        if weights is None or len(frontier) == 1:
+            k = int(rng.integers(len(frontier)))
         else:
-            w = np.array([weights[ci] for ci, _ in items], dtype=float)
-            pick = items[int(rng.choice(len(items), p=w / w.sum()))]
-        frontier.remove(pick)
-        ci, ri = pick
-        emitted[ci][ri] = True
-        out.append(pick)
-        for child in ((ci - 1, ri), (ci, ri - 1)):
-            cc, cr = child
-            if cc < 0 or cr < 0:
-                continue
-            above_c = cc + 1 >= c or emitted[cc + 1][cr]
-            above_r = cr + 1 > r or emitted[cc][cr + 1]
-            if above_c and above_r:
-                frontier.add(child)
+            w = [weights[ci] for ci in frontier]
+            total = sum(w)
+            cdf = list(itertools.accumulate(wi / total for wi in w))
+            k = bisect.bisect_right([p / cdf[-1] for p in cdf], rng.random())
+        ci = frontier.pop(k)
+        ri = top[ci] - 1
+        top[ci] = ri
+        out.append((ci, ri))
+        if ci > 0 and top[ci - 1] == ri + 1:
+            bisect.insort(frontier, ci - 1)
+        if ri > 0 and (ci + 1 == c or top[ci + 1] < ri):
+            bisect.insort(frontier, ci)
     return out
 
 
