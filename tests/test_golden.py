@@ -8,7 +8,9 @@ a digest to get a green run is not allowed.
 
 The differential tests hold `run_irc`, `run_csd`, the grid sampler and the
 audit's domination-witness search to reference copies of their original
-loops: same inputs, same seeds, equal outputs.
+loops: same inputs, same seeds, equal outputs. The references run on frozen
+copies of the engine and of the audit's per-contract checks, kept in this
+file, so that a rewrite of the live helpers is checked, not followed.
 """
 
 from __future__ import annotations
@@ -41,16 +43,13 @@ from capmatch.blocking import (
     INDIRECT_ENVY,
     RESOURCE,
     SEAT,
-    _envy_victims,
-    _has_direct_victim,
     _require_auditable,
-    _State,
-    _waste_class,
 )
-from capmatch.experiments import results_to_json
+from capmatch.cutoffs import CutoffProfile
+from capmatch.experiments import aggregate, results_to_json, table_csv, table_text
 from capmatch.generate import ALIGNMENTS, SEMI_SAMPLERS, _grid_order
 from capmatch.market import EMPTY_RESOURCE, dumps_market
-from capmatch.mechanisms import RunTrace, _coupled, _Engine
+from capmatch.mechanisms import RunTrace
 
 GOLDEN = {
     "none": "cd44c85f4d4bb7efd32aa7a0dd669fdd9131ced248ce88b5370ffbf5c75b6971",
@@ -74,11 +73,44 @@ def golden_config(alignment: str) -> ExperimentConfig:
     )
 
 
+# sha256 of (table_csv, table_text) over the aggregate of each golden config
+TABLE_GOLDEN = {
+    "none": (
+        "8492cb5db728b7d9e6a00f308cf9f758384e0415cc5bf0875a1740b70b0ca2d1",
+        "511adecb52b335c2549e1ba3bb2241dfc1e33311a614690070e8faa8e507aa2d",
+    ),
+    "student_semi": (
+        "1ceed0b74095daa67684e758700b8f33d2295f0f80bba9cfe342243c408aaa9c",
+        "5cb0ae5cd659255dc029685e16b50565b4038baa3b0291d09a8d15b238b500d3",
+    ),
+    "student_full": (
+        "e5d732f3a5bf9996bb4a2996a285ea9ddf21a594b46bc1b2fe99cb05af07ad5a",
+        "7230f8bf1692e322dca502f426e1f3510ed9a4ec0c2ab14a85dfeb53d8f2969a",
+    ),
+    "college_full": (
+        "17a2bb7b7b9a39c27831d278ce2d96f73082b0a8b89258a395f8a19fff6daf59",
+        "082da60e4ef4594a4a36e4ec905829e577a05777f8fbc9c81ef65f12f4b5d26e",
+    ),
+    "student_and_college_full": (
+        "1602293f7b2f6fb9fe635c8368c098b96fed0700a6fe4fcbaf4a8c6c2e7de817",
+        "cd148921b39fb3f8821591398a93bbaef18b84def6e92a608ab76f0ac1cd9d7a",
+    ),
+}
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 @pytest.mark.parametrize("alignment", ALIGNMENTS)
 def test_golden_results_digest(alignment):
     config = golden_config(alignment)
-    text = results_to_json(config, run_experiment(config))
-    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN[alignment]
+    results = run_experiment(config)
+    assert sha256(results_to_json(config, results)) == GOLDEN[alignment]
+    rows = aggregate(results)
+    assert (sha256(table_csv(rows)), sha256(table_text(rows))) == TABLE_GOLDEN[
+        alignment
+    ]
 
 
 # (n, C, R, region scheme): the quality weights of C=10 and C=9 sum past
@@ -144,6 +176,137 @@ def test_golden_market_digest(alignment, semi_sampler):
     assert h.hexdigest() == MARKET_GOLDEN[(alignment, semi_sampler)]
 
 
+# -- frozen copies of the engine and the audit's per-contract checks --------
+
+
+class RefEngine:
+    """_Engine with its feasibility test written out, as first written."""
+
+    def __init__(self, m):
+        self.m = m
+        self.K = [[0] * (m.n_resources + 1) for _ in range(m.n_colleges)]
+        self.assign = [None] * m.n_students
+        self.ccount = [0] * m.n_colleges
+        self.rcount = [0] * (m.n_resources + 1)
+        self.moves = []
+
+    def try_raise(self, c, rs):
+        m = self.m
+        row = self.K[c]
+        v = row[rs[0]]
+        s_star = m.priorities[c][v]
+        pos_map = m._pref_pos[s_star]
+        best_pos = None
+        best_r = -1
+        for r in rs:
+            p = pos_map.get((c, r))
+            if p is not None and (best_pos is None or p < best_pos):
+                best_pos = p
+                best_r = r
+        cur = self.assign[s_star]
+        if cur is None:
+            cur_pos = len(m.preferences[s_star])
+        else:
+            cur_pos = pos_map[(cur.college, cur.resource)]
+        if best_pos is not None and best_pos < cur_pos:
+            at_c = cur is not None and cur.college == c
+            ok = self.ccount[c] - (1 if at_c else 0) + 1 <= m.college_quotas[c]
+            if ok and best_r != EMPTY_RESOURCE:
+                if c not in m.regions[best_r - 1]:
+                    ok = False
+                else:
+                    had = cur is not None and cur.resource == best_r
+                    ok = (
+                        self.rcount[best_r] - (1 if had else 0) + 1
+                        <= m.resource_quotas[best_r - 1]
+                    )
+            if not ok:
+                return False
+            if cur is not None:
+                self.ccount[cur.college] -= 1
+                self.rcount[cur.resource] -= 1
+            self.assign[s_star] = Contract(s_star, c, best_r)
+            self.ccount[c] += 1
+            self.rcount[best_r] += 1
+        for r in rs:
+            row[r] += 1
+        self.moves.append((c, tuple(rs)))
+        return True
+
+    def finish(self, mechanism, seed) -> RunTrace:
+        return RunTrace(
+            mechanism=mechanism,
+            seed=seed,
+            moves=tuple(self.moves),
+            matching=Matching(x for x in self.assign if x is not None),
+            profile=CutoffProfile(self.K, self.m.n_students),
+        )
+
+
+def ref_coupled(row, r):
+    if r != EMPTY_RESOURCE and row[r] == row[EMPTY_RESOURCE]:
+        return (r, EMPTY_RESOURCE)
+    return (r,)
+
+
+class RefState:
+    def __init__(self, m, mu):
+        self.assign = [mu.student_contract(s) for s in range(m.n_students)]
+        self.ccount = [len(mu.college_contracts(c)) for c in range(m.n_colleges)]
+        self.rcount = [
+            len(mu.resource_contracts(r)) for r in range(m.n_resources + 1)
+        ]
+        self.roster = [list(mu.college_contracts(c)) for c in range(m.n_colleges)]
+
+
+def ref_waste_class(m, st, x):
+    s, c, r = x
+    cur = st.assign[s]
+    at_c = cur is not None and cur.college == c
+    if st.ccount[c] - (1 if at_c else 0) + 1 > m.college_quotas[c]:
+        return None
+    if r != EMPTY_RESOURCE:
+        if c not in m.regions[r - 1]:
+            return None
+        had_r = cur is not None and cur.resource == r
+        if st.rcount[r] - (1 if had_r else 0) + 1 > m.resource_quotas[r - 1]:
+            return None
+    return RESOURCE if at_c else SEAT
+
+
+def ref_envy_victims(m, st, x):
+    s, c, r = x
+    rank_row = m._rank[c]
+    rs = rank_row[s]
+    if rs is None:
+        return []
+    cur = st.assign[s]
+    out = []
+    for y in st.roster[c]:
+        ry = rank_row[y.student]
+        if ry is None or rs >= ry:
+            continue
+        if r != EMPTY_RESOURCE:
+            if c not in m.regions[r - 1]:
+                continue
+            cnt = (
+                st.rcount[r]
+                + 1
+                - (1 if cur is not None and cur.resource == r else 0)
+                - (1 if y.resource == r else 0)
+            )
+            if cnt > m.resource_quotas[r - 1]:
+                continue
+        out.append(y)
+    return out
+
+
+def ref_has_direct_victim(x, victims):
+    if x.resource == EMPTY_RESOURCE:
+        return bool(victims)
+    return any(y.resource == x.resource for y in victims)
+
+
 # -- reference copies of the original loops -----------------------------------
 
 
@@ -196,7 +359,7 @@ def test_grid_order_matches_the_sorted_frontier_reference():
 def reference_irc(m, seed=None) -> RunTrace:
     """run_irc as first written: the candidate list rebuilt on every draw."""
     rng = np.random.default_rng(seed)
-    eng = _Engine(m)
+    eng = RefEngine(m)
     n = m.n_students
     entries = [
         (c, r) for c in range(m.n_colleges) for r in range(m.n_resources + 1)
@@ -209,7 +372,7 @@ def reference_irc(m, seed=None) -> RunTrace:
         if not candidates:
             break
         c, r = candidates[int(rng.integers(len(candidates)))]
-        if eng.try_raise(c, _coupled(eng.K[c], r)):
+        if eng.try_raise(c, ref_coupled(eng.K[c], r)):
             failed.clear()
         else:
             failed.add((c, r))
@@ -380,12 +543,12 @@ def reference_find_witness(m, st, x, clean_under_mu):
 
 
 def reference_is_dominated(m, mu, x):
-    st = _State(m, mu)
+    st = RefState(m, mu)
 
     def clean(xp):
-        if _waste_class(m, st, xp) is not None:
+        if ref_waste_class(m, st, xp) is not None:
             return False
-        return not _has_direct_victim(xp, _envy_victims(m, st, xp))
+        return not ref_has_direct_victim(xp, ref_envy_victims(m, st, xp))
 
     w = reference_find_witness(m, st, x, clean)
     return (w is not None, w)
@@ -394,7 +557,7 @@ def reference_is_dominated(m, mu, x):
 def reference_audit(m, mu) -> BlockingReport:
     """audit as first written, with the original witness search."""
     _require_auditable(m, mu)
-    st = _State(m, mu)
+    st = RefState(m, mu)
     counts = {RESOURCE: 0, SEAT: 0, DIRECT_ENVY: 0, INDIRECT_ENVY: 0}
     waste_witnesses, envy_witnesses = [], []
     waste_set, direct_set = set(), set()
@@ -406,14 +569,14 @@ def reference_audit(m, mu) -> BlockingReport:
         )
         for pos in range(min(limit, len(prefs))):
             x = Contract(s, *prefs[pos])
-            kind = _waste_class(m, st, x)
+            kind = ref_waste_class(m, st, x)
             if kind is not None:
                 counts[kind] += 1
                 waste_witnesses.append((x, kind))
                 waste_set.add(x)
-            victims = _envy_victims(m, st, x)
+            victims = ref_envy_victims(m, st, x)
             if victims:
-                direct = _has_direct_victim(x, victims)
+                direct = ref_has_direct_victim(x, victims)
                 counts[DIRECT_ENVY if direct else INDIRECT_ENVY] += 1
                 if direct:
                     direct_set.add(x)
