@@ -39,6 +39,7 @@ from .market import (
     Market,
     Matching,
     Pair,
+    fits,
     is_feasible,
     is_individually_rational,
 )
@@ -73,48 +74,41 @@ def _waste_class(m: Market, st: _State, x: Contract) -> Optional[str]:
     s, c, r = x
     cur = st.assign[s]
     at_c = cur is not None and cur.college == c
-    if st.ccount[c] - (1 if at_c else 0) + 1 > m.college_quotas[c]:
+    had_r = cur is not None and cur.resource == r
+    if not fits(m, st.ccount, st.rcount, c, r, at_c, had_r):
         return None
-    if r != EMPTY_RESOURCE:
-        if c not in m.regions[r - 1]:
-            return None
-        had_r = cur is not None and cur.resource == r
-        if st.rcount[r] - (1 if had_r else 0) + 1 > m.resource_quotas[r - 1]:
-            return None
     return RESOURCE if at_c else SEAT
 
 
 def _envy_victims(m: Market, st: _State, x: Contract) -> list[Contract]:
     """Victims through which x envy-blocks. Improvement is NOT checked here.
 
-    The college count never binds for a same-college swap (one out, one in),
-    so feasibility reduces to the region test and the demanded resource's
-    count. Other colleges and resources only lose contracts in the swap.
+    The swap drops mu_s and the victim y and adds x. Other colleges and
+    resources only lose contracts, so it fits exactly when x fits at c once
+    both leave, and that depends on y only through whether y holds r. A
+    victim who holds r frees a unit of it, so she is one whenever any
+    ranked-below y is.
     """
     s, c, r = x
     rank_row = m._rank[c]
     rs = rank_row[s]
     if rs is None:
         return []
-    cur = st.assign[s]
     out: list[Contract] = []
     for y in st.roster[c]:
         ry = rank_row[y.student]
-        if ry is None or rs >= ry:
-            continue
-        if r != EMPTY_RESOURCE:
-            if c not in m.regions[r - 1]:
-                continue
-            cnt = (
-                st.rcount[r]
-                + 1
-                - (1 if cur is not None and cur.resource == r else 0)
-                - (1 if y.resource == r else 0)
-            )
-            if cnt > m.resource_quotas[r - 1]:
-                continue
-        out.append(y)
-    return out
+        if ry is not None and rs < ry:
+            out.append(y)
+    if not out:
+        return out
+    cur = st.assign[s]
+    c_out = 1 + (cur is not None and cur.college == c)
+    had_r = cur is not None and cur.resource == r
+    if fits(m, st.ccount, st.rcount, c, r, c_out, had_r):
+        return out
+    if fits(m, st.ccount, st.rcount, c, r, c_out, had_r + 1):
+        return [y for y in out if y.resource == r]
+    return []
 
 
 def _has_direct_victim(x: Contract, victims: list[Contract]) -> bool:

@@ -16,6 +16,7 @@ seeds reproduce identical bytes.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -23,7 +24,7 @@ from pathlib import Path
 from .experiments import (
     ExperimentConfig,
     aggregate,
-    market_seed,
+    replica_market,
     results_from_json,
     results_to_json,
     run_experiment,
@@ -36,18 +37,15 @@ from .fixtures import (
     fixture_names,
     load_fixture,
 )
-from .generate import generate_market
 from .market import dumps_market, load_market, validate_market
 from .oracle import census
 
 
 def _load_config(path: str, seed_override) -> ExperimentConfig:
     with open(path) as fh:
-        doc = json.load(fh)
-    config = ExperimentConfig.from_dict(doc)
+        config = ExperimentConfig.from_dict(json.load(fh))
     if seed_override is not None:
-        doc["master_seed"] = seed_override
-        config = ExperimentConfig.from_dict(doc)
+        config = dataclasses.replace(config, master_seed=seed_override)
     return config
 
 
@@ -57,12 +55,8 @@ def cmd_generate(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     seeds = []
     for i in range(config.replicas):
-        seed = market_seed(config.master_seed, i)
+        market, seed = replica_market(config, i)
         seeds.append(seed)
-        market = generate_market(config.market, seed=seed)
-        errors = [msg for sev, msg in validate_market(market) if sev == "error"]
-        if errors:
-            raise RuntimeError(f"replica {i} failed validation: {errors[:3]}")
         (out / f"market_{i:04d}.json").write_text(dumps_market(market))
     manifest = {
         "digest": config.digest(),
@@ -79,9 +73,8 @@ def cmd_generate(args) -> int:
 def cmd_run(args) -> int:
     config = _load_config(args.config, args.seed)
     if args.mechanisms:
-        doc = config.to_dict()
-        doc["mechanisms"] = [s.strip() for s in args.mechanisms.split(",") if s.strip()]
-        config = ExperimentConfig.from_dict(doc)
+        mechanisms = tuple(s.strip() for s in args.mechanisms.split(",") if s.strip())
+        config = dataclasses.replace(config, mechanisms=mechanisms)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     results = run_experiment(config, jobs=args.jobs)

@@ -110,6 +110,14 @@ def induced_matching(m: Market, k: CutoffProfile) -> Matching:
     return Matching(chosen)
 
 
+def coupled_entries(row: Sequence[int], r: int) -> tuple[int, ...]:
+    """The entries a one-step raise of (c, r) moves, given c's row: the
+    empty-resource entry rides along when r has caught up with it."""
+    if r != EMPTY_RESOURCE and row[r] == row[EMPTY_RESOURCE]:
+        return (r, EMPTY_RESOURCE)
+    return (r,)
+
+
 def increment(m: Market, k: CutoffProfile, c: int, r: int) -> CutoffProfile:
     """One-step raise of entry (c, r), coupled with the empty resource.
 
@@ -124,11 +132,8 @@ def increment(m: Market, k: CutoffProfile, c: int, r: int) -> CutoffProfile:
     if k.values[c][r] >= m.n_students:
         raise ValueError(f"cutoff K[{c}][{r}] is already maximal")
     rows = [list(row) for row in k.values]
-    if r != EMPTY_RESOURCE and rows[c][r] == rows[c][EMPTY_RESOURCE]:
-        rows[c][r] += 1
-        rows[c][EMPTY_RESOURCE] += 1
-    else:
-        rows[c][r] += 1
+    for x in coupled_entries(rows[c], r):
+        rows[c][x] += 1
     return CutoffProfile(rows, k.n_students)
 
 

@@ -9,6 +9,7 @@ byte-identical, including every serialized artifact.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -18,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocking import BLOCK_CATEGORIES, audit
-from .generate import GenConfig, generate_market
-from .market import validate_market
+from .generate import GenConfig, check_config_keys, generate_market
+from .market import Market, validate_market
 from .mechanisms import MECHANISM_ORDER, MECHANISMS
 
 _MARKET_TAG = 0
@@ -70,6 +71,8 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
+        """Raises ValueError on a non-object or an unknown key."""
+        check_config_keys(d, ExperimentConfig, "experiment")
         return ExperimentConfig(
             market=GenConfig.from_dict(d["market"]),
             replicas=d.get("replicas", 100),
@@ -126,12 +129,23 @@ def run_one(market, mechanism: str, seed: int) -> tuple[dict[str, int], int]:
     return dict(report.counts), report.total
 
 
-def _run_replica(config: ExperimentConfig, replica: int) -> list[RunResult]:
+def replica_market(config: ExperimentConfig, replica: int) -> tuple[Market, int]:
+    """The generated market of one replica, checked by validate_market, and
+    its seed.
+
+    Raises:
+        RuntimeError: the market fails validation.
+    """
     mseed = market_seed(config.master_seed, replica)
     market = generate_market(config.market, seed=mseed)
     errors = [msg for sev, msg in validate_market(market) if sev == "error"]
     if errors:
-        raise RuntimeError(f"generated market failed validation: {errors[:3]}")
+        raise RuntimeError(f"replica {replica} failed validation: {errors[:3]}")
+    return market, mseed
+
+
+def _run_replica(config: ExperimentConfig, replica: int) -> list[RunResult]:
+    market, mseed = replica_market(config, replica)
     out = []
     for mech in config.mechanisms:
         kseed = mechanism_seed(config.master_seed, replica, mech)
@@ -150,11 +164,6 @@ def _run_replica(config: ExperimentConfig, replica: int) -> list[RunResult]:
     return out
 
 
-def _run_replica_star(args) -> list[RunResult]:
-    config_dict, replica = args
-    return _run_replica(ExperimentConfig.from_dict(config_dict), replica)
-
-
 def run_experiment(
     config: ExperimentConfig, jobs: int = 1, progress=None
 ) -> list[RunResult]:
@@ -165,9 +174,9 @@ def run_experiment(
     """
     results: list[RunResult] = []
     if jobs > 1:
-        tasks = [(config.to_dict(), i) for i in range(config.replicas)]
+        run = functools.partial(_run_replica, config)
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for i, rows in enumerate(pool.map(_run_replica_star, tasks)):
+            for i, rows in enumerate(pool.map(run, range(config.replicas))):
                 results.extend(rows)
                 if progress:
                     progress(i + 1, config.replicas)
@@ -229,75 +238,40 @@ def format_cell(mean: float, std: float) -> str:
     return f"{round(float(mean), 2)}±{round(float(std), 3)}"
 
 
+# the columns both tables share; only the total column(s) differ
+_LEADING_HEADERS = ["alignment", "mechanism", *BLOCK_CATEGORIES]
+
+
+def _leading_cells(row: AggregateRow) -> list[str]:
+    return [row.alignment, row.mechanism] + [
+        format_cell(row.means[cat], row.stds[cat]) for cat in BLOCK_CATEGORIES
+    ]
+
+
 def table_csv(rows: list[AggregateRow]) -> str:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
-    w.writerow(
-        [
-            "alignment",
-            "mechanism",
-            "resource",
-            "seat",
-            "direct_envy",
-            "indirect_envy",
-            "total_mean",
-            "total_std",
-        ]
-    )
+    w.writerow(_LEADING_HEADERS + ["total_mean", "total_std"])
     for row in rows:
         w.writerow(
-            [
-                row.alignment,
-                row.mechanism,
-                format_cell(row.means["resource"], row.stds["resource"]),
-                format_cell(row.means["seat"], row.stds["seat"]),
-                format_cell(row.means["direct_envy"], row.stds["direct_envy"]),
-                format_cell(
-                    row.means["indirect_envy"], row.stds["indirect_envy"]
-                ),
-                repr(round(row.means["total"], 6)),
-                repr(round(row.stds["total"], 6)),
-            ]
+            _leading_cells(row)
+            + [repr(round(row.means["total"], 6)), repr(round(row.stds["total"], 6))]
         )
     return buf.getvalue()
 
 
 def table_text(rows: list[AggregateRow]) -> str:
-    headers = [
-        "alignment",
-        "mechanism",
-        "resource",
-        "seat",
-        "direct_envy",
-        "indirect_envy",
-        "total",
+    headers = _LEADING_HEADERS + ["total"]
+    body = [
+        _leading_cells(row) + [format_cell(row.means["total"], row.stds["total"])]
+        for row in rows
     ]
-    body = []
-    for row in rows:
-        body.append(
-            [
-                row.alignment,
-                row.mechanism,
-                format_cell(row.means["resource"], row.stds["resource"]),
-                format_cell(row.means["seat"], row.stds["seat"]),
-                format_cell(row.means["direct_envy"], row.stds["direct_envy"]),
-                format_cell(
-                    row.means["indirect_envy"], row.stds["indirect_envy"]
-                ),
-                format_cell(row.means["total"], row.stds["total"]),
-            ]
-        )
-    widths = [
-        max(len(headers[i]), *(len(line[i]) for line in body)) if body else len(headers[i])
-        for i in range(len(headers))
-    ]
-    lines = [
-        "  ".join(h.ljust(widths[i]) for i, h in enumerate(headers)),
-        "  ".join("-" * widths[i] for i in range(len(headers))),
-    ]
-    for line in body:
-        lines.append("  ".join(line[i].ljust(widths[i]) for i in range(len(headers))))
-    return "\n".join(lines) + "\n"
+    widths = [max(map(len, column)) for column in zip(headers, *body)]
+    lines = [headers, ["-" * w for w in widths], *body]
+    return "".join(
+        "  ".join(cell.ljust(w) for cell, w in zip(line, widths)) + "\n"
+        for line in lines
+    )
 
 
 def results_to_json(config: ExperimentConfig, results: list[RunResult]) -> str:

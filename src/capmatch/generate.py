@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -44,6 +44,20 @@ BALANCES = ("balanced", "up", "down")
 QUOTA_SPLITS = ("equal", "random")
 TRUNCATIONS = ("uniform", "none")
 SEMI_SAMPLERS = ("quality", "uniform")
+
+
+def check_config_keys(d, cls, what: str) -> None:
+    """Raise ValueError unless d is a dict whose keys all name fields of the
+    dataclass cls; the message names the first unknown key."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} config must be an object, not {type(d).__name__}")
+    names = [f.name for f in fields(cls)]
+    unknown = [key for key in d if key not in names]
+    if unknown:
+        raise ValueError(
+            f"unknown {what} config key {unknown[0]!r} "
+            f"(expected one of: {', '.join(names)})"
+        )
 
 
 @dataclass(frozen=True)
@@ -98,6 +112,8 @@ class GenConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "GenConfig":
+        """Raises ValueError on a non-object or an unknown key."""
+        check_config_keys(d, GenConfig, "market")
         return GenConfig(**d)
 
 

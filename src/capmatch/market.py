@@ -291,6 +291,30 @@ def is_feasible(m: Market, mu: Matching) -> bool:
     return True
 
 
+def fits(
+    m: Market,
+    ccount: Sequence[int],
+    rcount: Sequence[int],
+    c: int,
+    r: int,
+    c_out: int = 0,
+    r_out: int = 0,
+) -> bool:
+    """Whether one more contract at (c, r) keeps college c and resource r
+    within quota, and r inside its region, once c_out contracts leave c and
+    r_out leave r.
+
+    ccount[c] and rcount[r] count the contracts at college c and with
+    resource r (rcount is indexed by resource id, the empty one included).
+    The empty resource is never constrained.
+    """
+    if ccount[c] - c_out >= m.college_quotas[c]:
+        return False
+    if r == EMPTY_RESOURCE:
+        return True
+    return c in m.regions[r - 1] and rcount[r] - r_out < m.resource_quotas[r - 1]
+
+
 def is_individually_rational(m: Market, mu: Matching) -> bool:
     """True iff every matched student finds her own contract acceptable."""
     _check_ids(m, mu)

@@ -42,8 +42,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .cutoffs import CutoffProfile, induced_matching, zero_profile
-from .market import EMPTY_RESOURCE, Contract, Market, Matching
+from .cutoffs import CutoffProfile, coupled_entries, induced_matching
+from .market import EMPTY_RESOURCE, Contract, Market, Matching, fits
 
 MECHANISM_ORDER = ("irc", "imc", "idc", "iuc", "rsd", "csd")
 
@@ -128,17 +128,8 @@ class _Engine:
         if best_pos is not None and best_pos < cur_pos:
             # s_star switches to (c, best_r); check the move keeps feasibility
             at_c = cur is not None and cur.college == c
-            ok = self.ccount[c] - (1 if at_c else 0) + 1 <= m.college_quotas[c]
-            if ok and best_r != EMPTY_RESOURCE:
-                if c not in m.regions[best_r - 1]:
-                    ok = False
-                else:
-                    had = cur is not None and cur.resource == best_r
-                    ok = (
-                        self.rcount[best_r] - (1 if had else 0) + 1
-                        <= m.resource_quotas[best_r - 1]
-                    )
-            if not ok:
+            had = cur is not None and cur.resource == best_r
+            if not fits(m, self.ccount, self.rcount, c, best_r, at_c, had):
                 return False
             if cur is not None:
                 self.ccount[cur.college] -= 1
@@ -162,14 +153,6 @@ class _Engine:
             matching=matching,
             profile=profile,
         )
-
-
-def _coupled(row: list[int], r: int) -> tuple[int, ...]:
-    """Entry set for a one-step raise of (c, r): the empty-resource entry
-    rides along when r has caught up with it."""
-    if r != EMPTY_RESOURCE and row[r] == row[EMPTY_RESOURCE]:
-        return (r, EMPTY_RESOURCE)
-    return (r,)
 
 
 def run_irc(m: Market, seed: Optional[int] = None) -> RunTrace:
@@ -198,7 +181,7 @@ def run_irc(m: Market, seed: Optional[int] = None) -> RunTrace:
     while active:
         i = active[int(rng.integers(len(active)))]
         c, r = divmod(i, width)
-        rs = _coupled(eng.K[c], r)
+        rs = coupled_entries(eng.K[c], r)
         if eng.try_raise(c, rs):
             for j in failed:
                 insort(active, j)
@@ -276,7 +259,7 @@ def run_idc(m: Market, seed: Optional[int] = None) -> RunTrace:
         changed = False
         for idx in rng.permutation(len(entries)):
             c, r = entries[int(idx)]
-            while eng.K[c][r] < n and eng.try_raise(c, _coupled(eng.K[c], r)):
+            while eng.K[c][r] < n and eng.try_raise(c, coupled_entries(eng.K[c], r)):
                 changed = True
         if not changed:
             break
@@ -326,17 +309,11 @@ def run_rsd(
     granted: list[Contract] = []
     for s in order:
         for (c, r) in m.preferences[s]:
-            if ccount[c] + 1 > m.college_quotas[c]:
-                continue
-            if r != EMPTY_RESOURCE:
-                if c not in m.regions[r - 1]:
-                    continue
-                if rcount[r] + 1 > m.resource_quotas[r - 1]:
-                    continue
-            granted.append(Contract(s, c, r))
-            ccount[c] += 1
-            rcount[r] += 1
-            break
+            if fits(m, ccount, rcount, c, r):
+                granted.append(Contract(s, c, r))
+                ccount[c] += 1
+                rcount[r] += 1
+                break
     return RunTrace(
         mechanism="rsd",
         seed=seed,
@@ -387,10 +364,7 @@ def run_csd(m: Market, seed: Optional[int] = None) -> RunTrace:
         i = pointer[s]
         while i < len(plist):
             c, r = plist[i]
-            if ccount[c] < m.college_quotas[c] and (
-                r == EMPTY_RESOURCE
-                or (c in m.regions[r - 1] and rcount[r] < m.resource_quotas[r - 1])
-            ):
+            if fits(m, ccount, rcount, c, r):
                 break
             i += 1
         pointer[s] = i

@@ -15,7 +15,7 @@ from math import prod
 from typing import Callable, Optional, Sequence, Union
 
 from .blocking import BlockingReport, audit
-from .market import EMPTY_RESOURCE, Contract, Market, Matching
+from .market import Contract, Market, Matching, fits
 
 DEFAULT_BOUND = 10_000_000
 
@@ -52,20 +52,14 @@ def enumerate_matchings(m: Market, bound: int = DEFAULT_BOUND) -> list[Matching]
             return
         walk(s + 1)  # unmatched branch first
         for (c, r) in m.preferences[s]:
-            if ccount[c] + 1 > m.college_quotas[c]:
-                continue
-            if r != EMPTY_RESOURCE:
-                if c not in m.regions[r - 1]:
-                    continue
-                if rcount[r] + 1 > m.resource_quotas[r - 1]:
-                    continue
-            ccount[c] += 1
-            rcount[r] += 1
-            chosen.append(Contract(s, c, r))
-            walk(s + 1)
-            chosen.pop()
-            ccount[c] -= 1
-            rcount[r] -= 1
+            if fits(m, ccount, rcount, c, r):
+                ccount[c] += 1
+                rcount[r] += 1
+                chosen.append(Contract(s, c, r))
+                walk(s + 1)
+                chosen.pop()
+                ccount[c] -= 1
+                rcount[r] -= 1
 
     walk(0)
     return out

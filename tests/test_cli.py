@@ -174,6 +174,35 @@ def test_fixtures_listing(capsys):
         assert name in out
 
 
+@pytest.mark.parametrize("command", ["run", "generate"])
+@pytest.mark.parametrize(
+    "edit, key",
+    [
+        (lambda doc: doc["market"].update(n_resource=1), "'n_resource'"),
+        (lambda doc: doc.update(replica=2), "'replica'"),
+    ],
+    ids=["market-key", "top-level-key"],
+)
+def test_unknown_config_keys_are_clean_errors(tmp_path, capsys, command, edit, key):
+    doc = TINY.to_dict()
+    edit(doc)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("capmatch: error: unknown ") and key in err
+    assert not out.exists()
+
+
+def test_a_config_that_is_not_an_object_is_a_clean_error(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    for doc in ([1, 2], {"market": 5}):
+        path.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 1
+        assert "must be an object" in capsys.readouterr().err
+
+
 def test_missing_config_is_a_clean_error(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path)]) == 1

@@ -86,6 +86,13 @@ def test_run_experiment_layout_and_determinism():
     assert run_experiment(cfg) == results
 
 
+def test_a_process_pool_gives_the_serial_results():
+    cfg = ExperimentConfig(
+        market=TINY, replicas=3, mechanisms=("irc", "csd"), master_seed=4,
+    )
+    assert run_experiment(cfg, jobs=2) == run_experiment(cfg, jobs=1)
+
+
 def test_aggregate_math():
     def rr(replica, mech, total):
         counts = {"resource": 0, "seat": total, "direct_envy": 0, "indirect_envy": 0}

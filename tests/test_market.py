@@ -7,8 +7,12 @@ import pytest
 from capmatch import (
     EMPTY_RESOURCE,
     Contract,
+    GenConfig,
     Market,
     Matching,
+    enumerate_matchings,
+    fixture_names,
+    generate_market,
     is_feasible,
     is_individually_rational,
     load_fixture,
@@ -18,6 +22,7 @@ from capmatch import (
 )
 from capmatch.market import (
     dumps_market,
+    fits,
     loads_market,
     market_from_dict,
     market_to_dict,
@@ -132,6 +137,55 @@ def test_empty_resource_never_counts_against_resource_quotas():
     m = Market(3, [3], [1], [[0]], [[0, 1, 2]], [[(0, 0)]] * 3)
     mu = Matching([Contract(s, 0, 0) for s in range(3)])
     assert is_feasible(m, mu)
+
+
+def fits_markets():
+    """The fixtures and small scarce-quota markets, some with split regions."""
+    for name in fixture_names():
+        yield load_fixture(name)
+    for seed, scheme in enumerate(("all", "partition", "random:1") * 2):
+        cfg = GenConfig(
+            n_students=6,
+            n_colleges=3,
+            n_resources=2,
+            college_balance="down",
+            resource_balance="down",
+            region_scheme=scheme,
+        )
+        yield generate_market(cfg, seed=seed)
+
+
+def test_fits_agrees_with_feasibility_of_the_changed_matching():
+    """For every feasible IR mu, every acceptable x = (s, c, r) and every
+    other contract y at c: re-seating s onto x fits exactly when
+    mu - {mu_s} + {x} is feasible, and the swap fits exactly when
+    mu - {mu_s, y} + {x} is."""
+    outcomes = {True: 0, False: 0}
+    for m in fits_markets():
+        for mu in enumerate_matchings(m):
+            ccount = [len(mu.college_contracts(c)) for c in range(m.n_colleges)]
+            rcount = [len(mu.resource_contracts(r)) for r in range(m.n_resources + 1)]
+            for s in range(m.n_students):
+                cur = mu.student_contract(s)
+                rest = mu.contracts - {cur}
+                for c, r in m.preferences[s]:
+                    x = Contract(s, c, r)
+                    at_c = cur is not None and cur.college == c
+                    had_r = cur is not None and cur.resource == r
+                    got = fits(m, ccount, rcount, c, r, at_c, had_r)
+                    assert got == is_feasible(m, Matching(rest | {x})), (mu, x)
+                    outcomes[got] += 1
+                    for y in mu.college_contracts(c):
+                        if y.student == s:
+                            continue
+                        got = fits(
+                            m, ccount, rcount, c, r,
+                            at_c + 1, had_r + (y.resource == r),
+                        )
+                        swapped = Matching(rest - {y} | {x})
+                        assert got == is_feasible(m, swapped), (mu, x, y)
+                        outcomes[got] += 1
+    assert min(outcomes.values()) > 1000
 
 
 def test_individual_rationality_follows_the_lists():

@@ -25,6 +25,7 @@ from capmatch import (
 )
 from capmatch.cutoffs import induced_matching
 from capmatch.generate import GenConfig, generate_market
+from capmatch.mechanisms import _Engine
 
 
 def small_random_markets(n=25, seed=11):
@@ -161,6 +162,25 @@ def test_zero_resource_markets_reduce_to_deferred_acceptance():
 def test_deferred_acceptance_rejects_resource_markets():
     with pytest.raises(ValueError):
         college_proposing_da(load_fixture("example1"))
+
+
+def test_a_raise_that_moves_a_unit_between_colleges_frees_it():
+    # one unit, usable at both colleges; student 0 holds it at college 0 and
+    # then becomes eligible for her favorite, college 1 with the unit
+    m = Market(
+        n_students=1,
+        college_quotas=[1, 1],
+        resource_quotas=[1],
+        regions=[[0, 1]],
+        priorities=[[0], [0]],
+        preferences=[[(1, 1), (0, 1)]],
+    )
+    eng = _Engine(m)
+    assert eng.try_raise(0, (1, 0))
+    assert eng.assign[0] == Contract(0, 0, 1)
+    assert eng.try_raise(1, (1, 0))
+    assert eng.assign[0] == Contract(0, 1, 1)
+    assert eng.ccount == [0, 1] and eng.rcount == [0, 1]
 
 
 def test_rsd_serial_order_is_greedy():
