@@ -6,9 +6,9 @@ experiment per alignment regime, each running all six mechanisms, and of
 change that moves one of them changes behaviour and must say so; re-pinning
 a digest to get a green run is not allowed.
 
-The differential tests hold `run_irc`, `run_csd`, the grid sampler and the
-audit's domination-witness search to reference copies of their original
-loops: same inputs, same seeds, equal outputs. The references run on frozen
+The differential tests hold `run_irc`, `run_csd`, the grid sampler, the
+audit's domination-witness search and the census's Pareto scan to reference
+copies of their original loops: same inputs, same seeds, equal outputs. The references run on frozen
 copies of the engine and of the audit's per-contract checks, kept in this
 file, so that a rewrite of the live helpers is checked, not followed.
 """
@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import json
+from math import prod
 
 import numpy as np
 import pytest
@@ -29,10 +31,13 @@ from capmatch import (
     GenConfig,
     Matching,
     audit,
+    census,
     enumerate_matchings,
     fixture_names,
     generate_market,
     is_dominated,
+    is_feasible,
+    is_pareto_efficient,
     load_fixture,
     run_csd,
     run_experiment,
@@ -47,7 +52,7 @@ from capmatch.blocking import (
 )
 from capmatch.cutoffs import CutoffProfile
 from capmatch.experiments import aggregate, results_to_json, table_csv, table_text
-from capmatch.generate import ALIGNMENTS, SEMI_SAMPLERS, _grid_order
+from capmatch.generate import ALIGNMENTS, BALANCES, SEMI_SAMPLERS, _grid_order
 from capmatch.market import EMPTY_RESOURCE, dumps_market
 from capmatch.mechanisms import RunTrace
 
@@ -655,3 +660,144 @@ def test_audit_matches_the_reference_on_mechanism_outputs():
         for name, mechanism in MECHANISMS.items():
             assert_audits_match(m, mechanism(m, seed=i).matching, seen)
     assert seen[True] > 0 and seen[False] > 0
+
+
+# -- reference copy of the original pairwise Pareto scan ----------------------
+
+
+def reference_dominates(m, a, b) -> bool:
+    """Every student weakly prefers a to b and someone strictly does."""
+    strict = False
+    for s in range(m.n_students):
+        xa = a.student_contract(s)
+        xb = b.student_contract(s)
+        pa = m.pref_position(s, (xa.college, xa.resource) if xa else None)
+        pb = m.pref_position(s, (xb.college, xb.resource) if xb else None)
+        if pa > pb:
+            return False
+        if pa < pb:
+            strict = True
+    return strict
+
+
+def reference_pareto(m, matchings) -> tuple[int, ...]:
+    """Indices of the matchings that no other matching dominates."""
+    return tuple(
+        i
+        for i, mu in enumerate(matchings)
+        if not any(
+            j != i and reference_dominates(m, matchings[j], mu)
+            for j in range(len(matchings))
+        )
+    )
+
+
+def reference_is_pareto_efficient(m, mu) -> bool:
+    return not any(
+        other != mu and reference_dominates(m, other, mu)
+        for other in enumerate_matchings(m)
+    )
+
+
+# generated markets whose unpruned choice tree is larger are left out, so
+# that the quadratic reference stays within a few seconds
+PARETO_LEAVES = 5000
+
+
+def pareto_markets():
+    """(shape, market): the fixtures, then small generated markets of every
+    alignment, balance and n 1-6, with C 1-3 and R 0-2 cycling."""
+    for name in fixture_names():
+        yield name, load_fixture(name)
+    rng = np.random.default_rng(8)
+    combos = itertools.product(ALIGNMENTS, ("down", "balanced", "up"), range(1, 7))
+    for k, (alignment, balance, n) in enumerate(combos):
+        for j in range(3):
+            shape = (alignment, balance, n, 1 + (k + j) % 3, (k + 2 * j) % 3)
+            cfg = GenConfig(
+                n_students=n,
+                n_colleges=shape[3],
+                n_resources=shape[4],
+                alignment=alignment,
+                college_balance=balance,
+                resource_balance=balance,
+            )
+            try:
+                m = generate_market(cfg, seed=int(rng.integers(1 << 48)))
+            except ValueError:
+                continue  # a "down" budget can starve the split
+            if prod(len(p) + 1 for p in m.preferences) <= PARETO_LEAVES:
+                yield shape, m
+
+
+@pytest.fixture(scope="module")
+def pareto_censuses():
+    return [(shape, m, census(m)) for shape, m in pareto_markets()]
+
+
+def test_census_pareto_set_matches_the_pairwise_scan(pareto_censuses):
+    generated = [shape for shape, _, _ in pareto_censuses if isinstance(shape, tuple)]
+    assert len(generated) >= 150
+    for i, part in enumerate((ALIGNMENTS, BALANCES, range(1, 7), range(1, 4), range(3))):
+        assert {shape[i] for shape in generated} == set(part)
+    for shape, m, result in pareto_censuses:
+        matchings = list(result.matchings)
+        assert result.pareto_efficient == reference_pareto(m, matchings), shape
+
+
+# sha256 over every census of pareto_markets(): each index set, and each
+# report's counts and flags
+CENSUS_GOLDEN = "d015f42aac4bb58d2a2f5e58974fd9b872e4b0cfb0d687aecf047bbc43b00bcd"
+
+
+def test_census_digest(pareto_censuses):
+    h = hashlib.sha256()
+    for _, _, result in pareto_censuses:
+        doc = {
+            name: getattr(result, name)
+            for name in (
+                "stable",
+                "envy_free",
+                "non_wasteful",
+                "weakly_stable",
+                "direct_envy_stable",
+                "pareto_efficient",
+            )
+        }
+        doc["reports"] = [rep.to_dict() for rep in result.reports]
+        h.update(json.dumps(doc, sort_keys=True).encode())
+    assert h.hexdigest() == CENSUS_GOLDEN
+
+
+def test_is_pareto_efficient_matches_the_reference():
+    # (enumerated, efficient) -> matchings checked
+    checked = dict.fromkeys(itertools.product((True, False), repeat=2), 0)
+    for name in fixture_names():
+        m = load_fixture(name)
+        mus = enumerate_matchings(m)
+        # two matchings the enumeration never yields: one holding a
+        # contract its student did not list (prop8_market2's students list
+        # every pair), and one over a college's quota
+        unlisted = [
+            Matching([Contract(s, c, r)])
+            for s in range(m.n_students)
+            for c in range(m.n_colleges)
+            for r in range(m.n_resources + 1)
+            if (c, r) not in m.preferences[s]
+        ][:1]
+        over = []
+        for c in range(m.n_colleges):
+            seated = [
+                Contract(s, *next(p for p in m.preferences[s] if p[0] == c))
+                for s in range(m.n_students)
+                if any(p[0] == c for p in m.preferences[s])
+            ]
+            if len(seated) > m.college_quotas[c]:
+                over = [Matching(seated)]
+                assert not is_feasible(m, over[0]), name
+                break
+        for mu in [*mus, *unlisted, *over]:
+            got = is_pareto_efficient(m, mu)
+            assert got == reference_is_pareto_efficient(m, mu), (name, mu)
+            checked[mu in mus, got] += 1
+    assert min(checked.values()) > 0
