@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocking import BLOCK_CATEGORIES, audit
-from .generate import GenConfig, check_config_keys, generate_market
+from .generate import GenConfig, _require_type, check_config_keys, generate_market
 from .market import Market, validate_market
 from .mechanisms import MECHANISM_ORDER, MECHANISMS
 
@@ -53,6 +53,14 @@ class ExperimentConfig:
     name: str = "experiment"
 
     def __post_init__(self):
+        _require_type("experiment", self, ("replicas", "master_seed"), int)
+        _require_type("experiment", self, ("name",), str)
+        if not isinstance(self.mechanisms, tuple) or not all(
+            isinstance(mech, str) for mech in self.mechanisms
+        ):
+            raise ValueError(
+                "experiment config key 'mechanisms' must be a list of strings"
+            )
         # zero replicas is allowed: generate then writes a manifest only
         if self.replicas < 0:
             raise ValueError("replica count cannot be negative")
@@ -73,10 +81,13 @@ class ExperimentConfig:
     def from_dict(d: dict) -> "ExperimentConfig":
         """Raises ValueError on a non-object or an unknown key."""
         check_config_keys(d, ExperimentConfig, "experiment")
+        mechanisms = d.get("mechanisms", MECHANISM_ORDER)
+        if isinstance(mechanisms, list):  # anything else __post_init__ refuses
+            mechanisms = tuple(mechanisms)
         return ExperimentConfig(
             market=GenConfig.from_dict(d["market"]),
             replicas=d.get("replicas", 100),
-            mechanisms=tuple(d.get("mechanisms", MECHANISM_ORDER)),
+            mechanisms=mechanisms,
             master_seed=d.get("master_seed", 0),
             name=d.get("name", "experiment"),
         )

@@ -60,6 +60,20 @@ def check_config_keys(d, cls, what: str) -> None:
         )
 
 
+def _require_type(what: str, config, names, kind: type, optional=False) -> None:
+    """Raise ValueError naming the first of config's fields `names` whose
+    value is not a `kind` (a bool is never one; None passes if optional)."""
+    for name in names:
+        value = getattr(config, name)
+        if value is None and optional:
+            continue
+        if not isinstance(value, kind) or isinstance(value, bool):
+            raise ValueError(
+                f"{what} config key {name!r} must be {kind.__name__}, "
+                f"not {type(value).__name__}"
+            )
+
+
 @dataclass(frozen=True)
 class GenConfig:
     """Shape and sampling knobs for one synthetic market.
@@ -85,6 +99,23 @@ class GenConfig:
     seed: Optional[int] = None
 
     def __post_init__(self):
+        shape = ("n_students", "n_colleges", "n_resources")
+        _require_type("market", self, shape, int)
+        _require_type("market", self, ("seed",), int, optional=True)
+        _require_type(
+            "market",
+            self,
+            (
+                "alignment",
+                "college_balance",
+                "resource_balance",
+                "region_scheme",
+                "quota_split_scheme",
+                "truncation",
+                "semi_sampler",
+            ),
+            str,
+        )
         if self.alignment not in ALIGNMENTS:
             raise ValueError(f"unknown alignment {self.alignment!r}")
         if self.college_balance not in BALANCES:

@@ -5,6 +5,12 @@ feasible individually rational matchings, full stability censuses, Pareto
 checks against the whole matching set, and an exhaustive manipulation probe.
 All entry points guard against combinatorial blowup with an explicit bound
 and raise OracleBoundError instead of hanging.
+
+The Pareto step is a skyline (the maxima of a set of vectors; Kung, Luccio
+& Preparata, JACM 1975). Each matching becomes one row of students'
+preference positions, built once per census, and a row is dominated when
+another row is componentwise <= and has a strictly smaller sum. That test
+runs column by column over blocks of rows, so its memory stays bounded.
 """
 
 from __future__ import annotations
@@ -14,10 +20,14 @@ from itertools import permutations
 from math import prod
 from typing import Callable, Optional, Sequence, Union
 
+import numpy as np
+
 from .blocking import BlockingReport, audit
 from .market import Contract, Market, Matching, fits
 
 DEFAULT_BOUND = 10_000_000
+# cells of one block of the domination test: about 4M booleans per array
+_BLOCK_CELLS = 1 << 22
 
 
 class OracleBoundError(RuntimeError):
@@ -65,19 +75,38 @@ def enumerate_matchings(m: Market, bound: int = DEFAULT_BOUND) -> list[Matching]
     return out
 
 
-def _dominates(m: Market, a: Matching, b: Matching) -> bool:
-    """Every student weakly prefers a to b and someone strictly does."""
-    strict = False
-    for s in range(m.n_students):
-        xa = a.student_contract(s)
-        xb = b.student_contract(s)
-        pa = m.pref_position(s, (xa.college, xa.resource) if xa else None)
-        pb = m.pref_position(s, (xb.college, xb.resource) if xb else None)
-        if pa > pb:
-            return False
-        if pa < pb:
-            strict = True
-    return strict
+def _position_matrix(m: Market, matchings: Sequence[Matching]) -> np.ndarray:
+    """M x n array: row i holds every student's `pref_position` in matchings[i]."""
+    lengths = [len(prefs) for prefs in m.preferences]
+    rows = []
+    for mu in matchings:
+        row = lengths.copy()
+        for s, c, r in mu.contracts:
+            row[s] = m._pref_pos[s].get((c, r), lengths[s] + 1)
+        rows.append(row)
+    return np.array(rows, dtype=np.int64)
+
+
+def _dominated_rows(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """For each row q of Q: does some row p of P have p <= q in every column
+    and sum(p) < sum(q)?
+
+    That is Pareto domination: a vector that is <= everywhere and differs
+    somewhere has a strictly smaller sum, and the converse holds too.
+    """
+    out = np.zeros(len(Q), dtype=bool)
+    if len(P) == 0:
+        return out
+    p_sum = P.sum(axis=1)
+    q_sum = Q.sum(axis=1)
+    step = max(1, _BLOCK_CELLS // len(P))
+    for lo in range(0, len(Q), step):
+        q = Q[lo : lo + step]
+        le = p_sum[None, :] < q_sum[lo : lo + step, None]
+        for k in range(P.shape[1]):
+            le &= P[None, :, k] <= q[:, None, k]
+        out[lo : lo + step] = le.any(axis=1)
+    return out
 
 
 def is_pareto_efficient(
@@ -89,10 +118,8 @@ def is_pareto_efficient(
     rational one, so it is itself individually rational; searching the
     enumerated IR set therefore loses nothing.
     """
-    for other in enumerate_matchings(m, bound):
-        if other != mu and _dominates(m, other, mu):
-            return False
-    return True
+    P = _position_matrix(m, enumerate_matchings(m, bound))
+    return not _dominated_rows(P, _position_matrix(m, [mu]))[0]
 
 
 @dataclass(frozen=True)
@@ -125,14 +152,8 @@ def census(m: Market, bound: int = DEFAULT_BOUND) -> StabilityCensus:
     def pick(flag: str) -> tuple[int, ...]:
         return tuple(i for i, rep in enumerate(reports) if getattr(rep, flag))
 
-    pareto = tuple(
-        i
-        for i, mu in enumerate(matchings)
-        if not any(
-            j != i and _dominates(m, matchings[j], mu)
-            for j in range(len(matchings))
-        )
-    )
+    P = _position_matrix(m, matchings)
+    pareto = tuple(int(i) for i in np.flatnonzero(~_dominated_rows(P, P)))
     return StabilityCensus(
         matchings=tuple(matchings),
         reports=tuple(reports),

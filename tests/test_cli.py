@@ -195,6 +195,28 @@ def test_unknown_config_keys_are_clean_errors(tmp_path, capsys, command, edit, k
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "edit, key",
+    [
+        (lambda doc: doc.update(replicas="2"), "'replicas'"),
+        (lambda doc: doc.update(replicas=True), "'replicas'"),
+        (lambda doc: doc["market"].update(n_students="8"), "'n_students'"),
+        (lambda doc: doc.update(mechanisms="irc"), "'mechanisms'"),
+    ],
+    ids=["string-count", "bool-count", "string-shape", "string-mechanisms"],
+)
+def test_config_values_of_the_wrong_type_are_clean_errors(tmp_path, capsys, edit, key):
+    doc = TINY.to_dict()
+    edit(doc)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("capmatch: error: ") and key in err
+    assert not out.exists()
+
+
 def test_a_config_that_is_not_an_object_is_a_clean_error(tmp_path, capsys):
     path = tmp_path / "config.json"
     for doc in ([1, 2], {"market": 5}):

@@ -43,6 +43,7 @@ from capmatch import (
     run_experiment,
     run_irc,
 )
+from capmatch import oracle
 from capmatch.blocking import (
     DIRECT_ENVY,
     INDIRECT_ENVY,
@@ -745,6 +746,15 @@ def test_census_pareto_set_matches_the_pairwise_scan(pareto_censuses):
         assert result.pareto_efficient == reference_pareto(m, matchings), shape
 
 
+def test_census_is_the_same_over_several_blocks(pareto_censuses, monkeypatch):
+    monkeypatch.setattr(oracle, "_BLOCK_CELLS", 64)
+    split = 0
+    for shape, m, result in pareto_censuses:
+        assert census(m) == result, shape
+        split += len(result.matchings) > 8  # more than one block of rows
+    assert split >= 50
+
+
 # sha256 over every census of pareto_markets(): each index set, and each
 # report's counts and flags
 CENSUS_GOLDEN = "d015f42aac4bb58d2a2f5e58974fd9b872e4b0cfb0d687aecf047bbc43b00bcd"
@@ -775,16 +785,21 @@ def test_is_pareto_efficient_matches_the_reference():
     for name in fixture_names():
         m = load_fixture(name)
         mus = enumerate_matchings(m)
-        # two matchings the enumeration never yields: one holding a
-        # contract its student did not list (prop8_market2's students list
-        # every pair), and one over a college's quota
+        # two matchings the enumeration never yields. One adds a contract
+        # its student did not list to an efficient matching that leaves her
+        # unmatched, so only "unlisted is worse than unmatched" makes it
+        # dominated (prop8_market2's students list every pair).
         unlisted = [
-            Matching([Contract(s, c, r)])
+            Matching([*nu.contracts, Contract(s, c, r)])
+            for nu in mus
             for s in range(m.n_students)
             for c in range(m.n_colleges)
             for r in range(m.n_resources + 1)
-            if (c, r) not in m.preferences[s]
+            if nu.student_contract(s) is None
+            and (c, r) not in m.preferences[s]
+            and reference_is_pareto_efficient(m, nu)
         ][:1]
+        # The other seats more students at one college than its quota.
         over = []
         for c in range(m.n_colleges):
             seated = [

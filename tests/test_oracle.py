@@ -5,7 +5,11 @@ the fixture markets, then frozen. A change in any tuple means the blocking
 semantics moved, not that the test needs updating.
 """
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from capmatch import (
     Contract,
@@ -20,6 +24,7 @@ from capmatch import (
     load_fixture,
     strategyproofness_probe,
 )
+from capmatch.oracle import _dominated_rows
 
 
 def test_two_by_two_market_has_five_matchings_and_no_stable_one():
@@ -184,3 +189,18 @@ def test_probe_accepts_a_callable():
 
     # an empty outcome is trivially unimprovable by lying
     assert strategyproofness_probe(m, constant_empty, student=0) is None
+
+
+@given(
+    arrays(
+        np.int64,
+        st.tuples(st.integers(0, 40), st.integers(0, 6)),
+        elements=st.integers(0, 4),
+    )
+)
+def test_dominated_rows_is_pairwise_pareto_domination(P):
+    # small values make duplicate rows and ties common
+    expected = [
+        any((p <= q).all() and (p < q).any() for p in P) for q in P
+    ]
+    assert _dominated_rows(P, P).tolist() == expected
