@@ -205,7 +205,9 @@ def test_unknown_config_keys_are_clean_errors(tmp_path, capsys, command, edit, k
     ],
     ids=["string-count", "bool-count", "string-shape", "string-mechanisms"],
 )
-def test_config_values_of_the_wrong_type_are_clean_errors(tmp_path, capsys, edit, key):
+def test_config_values_of_the_wrong_type_are_clean_errors(
+    tmp_path, capsys, edit, key
+):
     doc = TINY.to_dict()
     edit(doc)
     path = tmp_path / "config.json"

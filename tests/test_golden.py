@@ -8,9 +8,10 @@ a digest to get a green run is not allowed.
 
 The differential tests hold `run_irc`, `run_csd`, the grid sampler, the
 audit's domination-witness search and the census's Pareto scan to reference
-copies of their original loops: same inputs, same seeds, equal outputs. The references run on frozen
-copies of the engine and of the audit's per-contract checks, kept in this
-file, so that a rewrite of the live helpers is checked, not followed.
+copies of their original loops: same inputs, same seeds, equal outputs. The
+references run on frozen copies of the engine and of the audit's
+per-contract checks, kept in this file, so that a rewrite of the live
+helpers is checked, not followed.
 """
 
 from __future__ import annotations
@@ -739,8 +740,9 @@ def pareto_censuses():
 def test_census_pareto_set_matches_the_pairwise_scan(pareto_censuses):
     generated = [shape for shape, _, _ in pareto_censuses if isinstance(shape, tuple)]
     assert len(generated) >= 150
-    for i, part in enumerate((ALIGNMENTS, BALANCES, range(1, 7), range(1, 4), range(3))):
-        assert {shape[i] for shape in generated} == set(part)
+    axes = (ALIGNMENTS, BALANCES, range(1, 7), range(1, 4), range(3))
+    for i, axis in enumerate(axes):
+        assert {shape[i] for shape in generated} == set(axis)
     for shape, m, result in pareto_censuses:
         matchings = list(result.matchings)
         assert result.pareto_efficient == reference_pareto(m, matchings), shape
