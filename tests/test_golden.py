@@ -6,12 +6,12 @@ experiment per alignment regime, each running all six mechanisms, and of
 change that moves one of them changes behaviour and must say so; re-pinning
 a digest to get a green run is not allowed.
 
-The differential tests hold `run_irc`, `run_csd`, the grid sampler, the
-audit's domination-witness search and the census's Pareto scan to reference
-copies of their original loops: same inputs, same seeds, equal outputs. The
-references run on frozen copies of the engine and of the audit's
-per-contract checks, kept in this file, so that a rewrite of the live
-helpers is checked, not followed.
+The differential tests hold `run_irc`, `run_imc`, `run_csd`, the grid
+sampler, the audit's domination-witness search and the census's Pareto scan
+to reference copies of their original loops: same inputs, same seeds, equal
+outputs. The references draw from numpy's `Generator` and run on frozen
+copies of the engine and of the audit's per-contract checks, kept in this
+file, so that a rewrite of the live helpers is checked, not followed.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from capmatch import (
     load_fixture,
     run_csd,
     run_experiment,
+    run_imc,
     run_irc,
 )
 from capmatch import oracle
@@ -386,6 +387,45 @@ def reference_irc(m, seed=None) -> RunTrace:
     return eng.finish("irc", seed)
 
 
+def reference_imc_college_step(eng, c, rng) -> bool:
+    """_imc_college_step as first written: the subset lists rebuilt per visit."""
+    m = eng.m
+    row = eng.K[c]
+    n = m.n_students
+    values = sorted({val for val in row if val < n})
+    for v in values:
+        members = [r for r in range(len(row)) if row[r] == v]
+        if EMPTY_RESOURCE in members:
+            base = [r for r in members if r != EMPTY_RESOURCE]
+            for size in range(len(base) + 1, 0, -1):
+                combos = list(itertools.combinations(base, size - 1))
+                for i in rng.permutation(len(combos)):
+                    rs = (EMPTY_RESOURCE,) + combos[int(i)]
+                    if eng.try_raise(c, rs):
+                        return True
+        else:
+            for size in range(len(members), 0, -1):
+                combos = list(itertools.combinations(members, size))
+                for i in rng.permutation(len(combos)):
+                    if eng.try_raise(c, combos[int(i)]):
+                        return True
+    return False
+
+
+def reference_imc(m, seed=None) -> RunTrace:
+    """run_imc as first written, drawing from numpy's Generator."""
+    rng = np.random.default_rng(seed)
+    eng = RefEngine(m)
+    while True:
+        changed = False
+        for ci in rng.permutation(m.n_colleges):
+            if reference_imc_college_step(eng, int(ci), rng):
+                changed = True
+        if not changed:
+            break
+    return eng.finish("imc", seed)
+
+
 def reference_csd(m, seed=None) -> RunTrace:
     """run_csd as first written: every unmatched student rescanned per grant."""
     rng = np.random.default_rng(seed)
@@ -463,7 +503,8 @@ def differential_markets():
 
 
 @pytest.mark.parametrize(
-    "mechanism, reference", [(run_irc, reference_irc), (run_csd, reference_csd)]
+    "mechanism, reference",
+    [(run_irc, reference_irc), (run_imc, reference_imc), (run_csd, reference_csd)],
 )
 def test_traces_match_the_rescanning_reference(mechanism, reference):
     checked = 0
