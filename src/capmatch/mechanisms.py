@@ -18,6 +18,14 @@ better, delta-check feasibility, revert the raise if the move breaks it.
 irc keeps its drawable entries as a sorted index list, so a draw costs one
 index and a bisect instead of a scan of every entry.
 
+irc and imc make thousands of draws of one small number per run. They draw
+from `_draws.Draws(seed)`, a pure-Python replica of the `integers` and
+`permutation` of `np.random.default_rng(seed)` that reads PCG64's raw words
+and skips numpy's per-call overhead. imc reads each (entries, size) subset
+list from a bounded cache instead of rebuilding it per visit. idc, iuc, rsd
+and csd draw through numpy's `Generator`: their calls are few, and its C
+shuffle beats Python on their longer permutations.
+
 rsd lets students pick their favorite still-feasible contract in a random
 order. csd repeatedly grants, among all unmatched students' current favorite
 feasible contracts, the one whose student the target college ranks best. It
@@ -26,9 +34,9 @@ whose college or resource a grant fills, so a run costs about as much as
 walking every preference list once plus a heap operation per grant and per
 re-seat, not a scan of every unmatched student per grant.
 
-Both draw exactly as a full rescan would, with the same bound and the same
-element, so their seeded traces equal those of the rescanning loops kept in
-tests/test_golden.py.
+irc, imc and csd draw exactly as their first loops did, with the same bounds,
+the same elements and the same numbers, so their seeded traces equal those
+of the reference copies kept in tests/test_golden.py.
 """
 
 from __future__ import annotations
@@ -38,10 +46,12 @@ import itertools
 from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
 
+from ._draws import Draws
 from .cutoffs import CutoffProfile, coupled_entries, induced_matching
 from .market import EMPTY_RESOURCE, Contract, Market, Matching, fits
 
@@ -172,14 +182,14 @@ def run_irc(m: Market, seed: Optional[int] = None) -> RunTrace:
     indices.
     """
     _require_runnable(m)
-    rng = np.random.default_rng(seed)
+    draws = Draws(seed)
     eng = _Engine(m)
     n = m.n_students
     width = m.n_resources + 1
     active = list(range(m.n_colleges * width)) if n else []
     failed: list[int] = []
     while active:
-        i = active[int(rng.integers(len(active)))]
+        i = active[draws.integers(len(active))]
         c, r = divmod(i, width)
         rs = coupled_entries(eng.K[c], r)
         if eng.try_raise(c, rs):
@@ -196,7 +206,13 @@ def run_irc(m: Market, seed: Optional[int] = None) -> RunTrace:
     return eng.finish("irc", seed)
 
 
-def _imc_college_step(eng: _Engine, c: int, rng) -> bool:
+@lru_cache(maxsize=4096)
+def _subsets(members: tuple[int, ...], size: int) -> tuple[tuple[int, ...], ...]:
+    """Every size-subset of members, in itertools.combinations order."""
+    return tuple(itertools.combinations(members, size))
+
+
+def _imc_college_step(eng: _Engine, c: int, draws: Draws) -> bool:
     """One IMC visit to college c: scan cutoff values bottom up and apply the
     first feasible simultaneous raise of a largest-possible entry subset.
 
@@ -213,20 +229,19 @@ def _imc_college_step(eng: _Engine, c: int, rng) -> bool:
     n = m.n_students
     values = sorted({val for val in row if val < n})
     for v in values:
-        members = [r for r in range(len(row)) if row[r] == v]
+        members = tuple(r for r in range(len(row)) if row[r] == v)
         if EMPTY_RESOURCE in members:
-            base = [r for r in members if r != EMPTY_RESOURCE]
+            base = members[1:]  # EMPTY_RESOURCE is entry 0
             for size in range(len(base) + 1, 0, -1):
-                combos = list(itertools.combinations(base, size - 1))
-                for i in rng.permutation(len(combos)):
-                    rs = (EMPTY_RESOURCE,) + combos[int(i)]
-                    if eng.try_raise(c, rs):
+                combos = _subsets(base, size - 1)
+                for i in draws.permutation(len(combos)):
+                    if eng.try_raise(c, (EMPTY_RESOURCE,) + combos[i]):
                         return True
         else:
             for size in range(len(members), 0, -1):
-                combos = list(itertools.combinations(members, size))
-                for i in rng.permutation(len(combos)):
-                    if eng.try_raise(c, combos[int(i)]):
+                combos = _subsets(members, size)
+                for i in draws.permutation(len(combos)):
+                    if eng.try_raise(c, combos[i]):
                         return True
     return False
 
@@ -234,12 +249,12 @@ def _imc_college_step(eng: _Engine, c: int, rng) -> bool:
 def run_imc(m: Market, seed: Optional[int] = None) -> RunTrace:
     """Per-college simultaneous raises, colleges visited in random passes."""
     _require_runnable(m)
-    rng = np.random.default_rng(seed)
+    draws = Draws(seed)
     eng = _Engine(m)
     while True:
         changed = False
-        for ci in rng.permutation(m.n_colleges):
-            if _imc_college_step(eng, int(ci), rng):
+        for c in draws.permutation(m.n_colleges):
+            if _imc_college_step(eng, c, draws):
                 changed = True
         if not changed:
             break

@@ -1,0 +1,114 @@
+"""`Draws` against numpy: the same seed gives the same numbers, call for call.
+
+Every test runs one `Draws` and one `np.random.default_rng` on the same seed
+through the same calls, so a pending high half, a rejection or a refill of
+the word buffer that the replica handled differently would show as a
+different number in that call or a later one.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from capmatch._draws import _CHUNK, Draws
+
+BOUNDS = (1, 2, 3, 60, 199, 2**31 + 5, 2**32)
+U32 = 1 << 32
+
+
+def numpy_call(rng, op, arg):
+    if op == "integers":
+        return int(rng.integers(arg))
+    return rng.permutation(arg).tolist()
+
+
+def assert_same_stream(seed, calls):
+    draws, rng = Draws(seed), np.random.default_rng(seed)
+    for i, (op, arg) in enumerate(calls):
+        assert getattr(draws, op)(arg) == numpy_call(rng, op, arg), (seed, i, op, arg)
+
+
+def test_every_bound_and_length_interleaved_on_one_stream():
+    calls = []
+    for n in range(41):
+        calls.append(("permutation", n))
+        calls.extend(("integers", k) for k in BOUNDS)
+    # a permutation(n) takes at least n - 1 32-bit draws and integers(k > 1)
+    # at least one, so the sweep crosses a refill of the word buffer
+    least = sum(n - 1 for n in range(2, 41)) + 41 * sum(k > 1 for k in BOUNDS)
+    assert least > 2 * _CHUNK
+    for seed in (0, 1, 2025, 2**63 + 7):
+        assert_same_stream(seed, calls * 2)
+
+
+def test_a_pending_high_half_carries_across_calls():
+    # integers(3) leaves the high half of its word pending; the next call of
+    # either kind must start from it, and a one-value range draws nothing
+    calls = [
+        ("integers", 3),
+        ("permutation", 2),
+        ("integers", 199),
+        ("integers", 1),
+        ("integers", 2**32),
+        ("permutation", 1),
+        ("permutation", 7),
+        ("integers", 60),
+    ]
+    for seed in range(20):
+        assert_same_stream(seed, calls)
+
+
+def first_word(seed):
+    return int(np.random.PCG64(seed).random_raw(1)[0])
+
+
+def test_rejection_thresholds_are_exact():
+    """The first 32-bit draw u lands exactly on the rejection boundary.
+
+    Lemire's rule draws again while (u * k) mod 2**32 < 2**32 mod k. For
+    k = 3 * 2**30 and u = 3 (mod 4) the low word equals the threshold: the
+    draw is kept. For u even and k = -(u + 1)**-1 mod 2**32 (when that
+    exceeds 2**31) it is one below: the draw is rejected. A threshold one
+    off either way changes the number returned.
+    """
+    kept = next(s for s in range(100) if first_word(s) & 3 == 3)
+    k = 3 << 30
+    u = first_word(kept) & 0xFFFFFFFF
+    assert u * k % U32 == U32 % k
+    assert_same_stream(kept, [("integers", k)] * 3)
+
+    found = 0
+    for seed in range(200):
+        u = first_word(seed) & 0xFFFFFFFF
+        if u % 2:
+            continue
+        k = -pow(u + 1, -1, U32) % U32
+        if k <= 2**31:
+            continue
+        assert u * k % U32 == U32 % k - 1
+        assert_same_stream(seed, [("integers", k)] * 3)
+        found += 1
+    assert found >= 5
+
+
+@pytest.mark.parametrize("k", [0, -1, 2**32 + 1])
+def test_bounds_outside_one_to_two_to_the_32_are_refused(k):
+    with pytest.raises(ValueError):
+        Draws(0).integers(k)
+
+
+CALLS = st.lists(
+    st.one_of(
+        st.tuples(st.just("integers"), st.sampled_from(BOUNDS)),
+        st.tuples(st.just("integers"), st.integers(1, 2**32)),
+        st.tuples(st.just("permutation"), st.integers(0, 40)),
+    ),
+    max_size=60,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), calls=CALLS)
+def test_any_interleaving_matches_numpy(seed, calls):
+    assert_same_stream(seed, calls)
