@@ -64,6 +64,8 @@ class ExperimentConfig:
         # zero replicas is allowed: generate then writes a manifest only
         if self.replicas < 0:
             raise ValueError("replica count cannot be negative")
+        if self.master_seed < 0:  # numpy's SeedSequence takes none
+            raise ValueError("experiment config key 'master_seed' must be >= 0")
         for mech in self.mechanisms:
             if mech not in MECHANISMS:
                 raise ValueError(f"unknown mechanism {mech!r}")

@@ -133,8 +133,18 @@ class GenConfig:
         if self.region_scheme != "all" and self.region_scheme != "partition":
             if not self.region_scheme.startswith("random:"):
                 raise ValueError(f"unknown region_scheme {self.region_scheme!r}")
-            if int(self.region_scheme.split(":", 1)[1]) < 1:
+            k = self.region_scheme.split(":", 1)[1]
+            try:
+                size = int(k)
+            except ValueError:
+                raise ValueError(
+                    "market config key 'region_scheme' needs an integer size "
+                    f"after 'random:', not {k!r}"
+                ) from None
+            if size < 1:
                 raise ValueError("random region size must be >= 1")
+        if self.seed is not None and self.seed < 0:
+            raise ValueError("market config key 'seed' must be >= 0")
         if self.n_students < 1 or self.n_colleges < 1 or self.n_resources < 0:
             raise ValueError("market shape out of range")
 

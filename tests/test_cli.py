@@ -219,6 +219,35 @@ def test_config_values_of_the_wrong_type_are_clean_errors(
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "edit, argv, key",
+    [
+        (lambda doc: doc.update(master_seed=-5), [], "'master_seed'"),
+        (lambda doc: None, ["--seed", "-5"], "'master_seed'"),
+        (lambda doc: doc["market"].update(seed=-5), [], "'seed'"),
+        (
+            lambda doc: doc["market"].update(region_scheme="random:x"),
+            [],
+            "'region_scheme'",
+        ),
+    ],
+    ids=["negative-master-seed", "negative-seed-flag", "negative-market-seed",
+         "random-region-size-not-a-number"],
+)
+def test_config_values_out_of_range_name_their_key(
+    tmp_path, capsys, edit, argv, key
+):
+    doc = TINY.to_dict()
+    edit(doc)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out), *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("capmatch: error: ") and key in err
+    assert not out.exists()
+
+
 def test_a_config_that_is_not_an_object_is_a_clean_error(tmp_path, capsys):
     path = tmp_path / "config.json"
     for doc in ([1, 2], {"market": 5}):
