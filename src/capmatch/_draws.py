@@ -53,6 +53,8 @@ class Draws:
             raise ValueError(f"integers needs 1 <= k <= 2**32, got {k}")
         if k == 1:
             return 0  # numpy draws nothing for a one-value range
+        # the threshold 2**32 mod k is below k, so most draws skip it; at
+        # k = 2**32 both are 0 and the draw comes back as is, as in numpy
         m = self._u32() * k
         if m & 0xFFFFFFFF < k:
             threshold = _U32 % k
