@@ -7,9 +7,9 @@ change that moves one of them changes behaviour and must say so; re-pinning
 a digest to get a green run is not allowed.
 
 The differential tests hold `run_irc`, `run_imc`, `run_csd`, the grid
-sampler, the audit's domination-witness search and the census's Pareto scan
-to reference copies of their original loops: same inputs, same seeds, equal
-outputs. The references draw from numpy's `Generator` and run on frozen
+sampler, the unaligned preference lists, the audit's domination-witness
+search and the census's Pareto scan to reference copies of their original
+loops: same inputs, same seeds, equal outputs. The references draw from numpy's `Generator` and run on frozen
 copies of the engine and of the audit's per-contract checks, kept in this
 file, so that a rewrite of the live helpers is checked, not followed.
 """
@@ -55,8 +55,9 @@ from capmatch.blocking import (
 )
 from capmatch.cutoffs import CutoffProfile
 from capmatch.experiments import aggregate, results_to_json, table_csv, table_text
+from capmatch import generate
 from capmatch.generate import ALIGNMENTS, BALANCES, SEMI_SAMPLERS, _grid_order
-from capmatch.market import EMPTY_RESOURCE, dumps_market
+from capmatch.market import EMPTY_RESOURCE, Market, dumps_market
 from capmatch.mechanisms import RunTrace
 
 GOLDEN = {
@@ -362,6 +363,93 @@ def test_grid_order_matches_the_sorted_frontier_reference():
                 checked += 1
         assert rng.random() == ref_rng.random(), (c, r)
     assert checked == 360
+
+
+def reference_unaligned_order(cfg, rng):
+    """_unaligned_order as first written: numpy shuffles of the slot array
+    and of each college's resources, popped into (college, resource) pairs."""
+    c, r = cfg.n_colleges, cfg.n_resources
+    slots = np.repeat(np.arange(c), r + 1)
+    rng.shuffle(slots)
+    queues = []
+    for ci in range(c):
+        res = [int(x) for x in rng.permutation(np.arange(1, r + 1))]
+        res.append(0)
+        queues.append(res[::-1])
+    return [(int(ci), queues[ci].pop()) for ci in slots]
+
+
+def reference_unaligned_market(cfg, seed):
+    """generate_market on an unaligned config with the numpy preference loop
+    above; also whether a 32-bit half was pending when the lists began."""
+    n, r = cfg.n_students, cfg.n_resources
+    rng = np.random.default_rng(seed)
+    college_quotas = generate._college_quotas(cfg, rng)
+    regions = generate._regions(cfg, rng)
+    priorities = generate._priorities(cfg, rng)
+    pending = bool(rng.bit_generator.state["has_uint32"])
+    preferences = []
+    for _ in range(n):
+        order = reference_unaligned_order(cfg, rng)
+        if cfg.truncation == "uniform":
+            order = order[: int(rng.integers(len(order) + 1))]
+        preferences.append(order)
+    market = Market(
+        n_students=cfg.n_students,
+        college_quotas=college_quotas,
+        resource_quotas=[generate._budget(n, cfg.resource_balance)] * r,
+        regions=regions,
+        priorities=priorities,
+        preferences=preferences,
+    )
+    return market, pending
+
+
+# (n, C, R, region scheme, quota split): one college, no resources, eight
+# resources, and every region scheme and quota split
+UNALIGNED_SHAPES = [
+    (8, 1, 2, "all", "equal"),
+    (10, 3, 0, "all", "random"),
+    (12, 9, 8, "random:4", "random"),
+    (20, 5, 3, "partition", "equal"),
+    (30, 4, 2, "random:2", "random"),
+    (25, 10, 5, "all", "equal"),
+]
+
+
+def test_unaligned_preferences_match_the_numpy_reference():
+    pending_seen = {False: 0, True: 0}
+    for (n, c, r, scheme, split), alignment, truncation, seed in itertools.product(
+        UNALIGNED_SHAPES, ("none", "college_full"), ("uniform", "none"), range(4)
+    ):
+        cfg = GenConfig(
+            n_students=n,
+            n_colleges=c,
+            n_resources=r,
+            alignment=alignment,
+            region_scheme=scheme,
+            quota_split_scheme=split,
+            truncation=truncation,
+        )
+        expected, pending = reference_unaligned_market(cfg, seed)
+        got = dumps_market(generate_market(cfg, seed=seed))
+        assert got == dumps_market(expected), (cfg, seed)
+        pending_seen[pending] += 1
+    # the lists must start right after the priorities in both stream states:
+    # on a fresh word, and on the high half of a word the priorities began
+    assert min(pending_seen.values()) >= 10, pending_seen
+
+
+# the dictators_2000 benchmark shape: one n=2000, C=20, R=5 unaligned market
+DICTATORS_MARKET_GOLDEN = (
+    "724daeeb9f6b48470def01ea75bc90fa0605ab8d2b987f41069f1d9087f0f8c3"
+)
+
+
+def test_golden_market_digest_at_n_2000():
+    cfg = GenConfig(n_students=2000, n_colleges=20, n_resources=5)
+    text = dumps_market(generate_market(cfg, seed=2025))
+    assert sha256(text) == DICTATORS_MARKET_GOLDEN
 
 
 def reference_irc(m, seed=None) -> RunTrace:
