@@ -66,9 +66,17 @@ class ExperimentConfig:
             raise ValueError("replica count cannot be negative")
         if self.master_seed < 0:  # numpy's SeedSequence takes none
             raise ValueError("experiment config key 'master_seed' must be >= 0")
-        for mech in self.mechanisms:
+        if not self.mechanisms:
+            raise ValueError(
+                "experiment config key 'mechanisms' must name at least one mechanism"
+            )
+        for k, mech in enumerate(self.mechanisms):
             if mech not in MECHANISMS:
                 raise ValueError(f"unknown mechanism {mech!r}")
+            if mech in self.mechanisms[:k]:
+                raise ValueError(
+                    f"experiment config key 'mechanisms' repeats {mech!r}"
+                )
 
     def to_dict(self) -> dict:
         return {
@@ -184,7 +192,10 @@ def run_experiment(
 
     jobs > 1 fans replicas over processes; results are identical to a serial
     run because every run's seed is derived, not drawn from shared state.
+    Raises ValueError for jobs < 1.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     results: list[RunResult] = []
     if jobs > 1:
         run = functools.partial(_run_replica, config)

@@ -20,18 +20,32 @@ keeping (c, r); that only trips the validator's warning level, not an error.
 
 Quota budgets scale with the student count: the college-side budget and each
 resource kind's quota are |S|, 2|S|, or |S|//2 (balanced / up / down).
+
+One seeded stream makes a market, in this order: quotas, regions, priorities,
+preference lists. Everything but the unaligned preference lists draws through
+numpy's `Generator`. The lists of `none` and `college_full` are thousands of
+short shuffles, so they draw through `_draws.Draws.from_generator`, which
+continues the Generator's PCG64 stream (its pending 32-bit half included)
+with the same numbers in pure Python. That needs no hand-back to numpy
+because the lists are the last draw of `generate_market`: the Generator is
+never read after them. A new draw after the lists would have to go through
+the same `Draws`. The aligned regimes keep `Generator` throughout: their
+weighted picks read whole words through `rng.random()`, beside a pending
+32-bit half, which `Draws` does not replicate.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 from dataclasses import asdict, dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
 
-from .market import Market
+from ._draws import Draws
+from .market import EMPTY_RESOURCE, Market
 
 ALIGNMENTS = (
     "none",
@@ -209,22 +223,35 @@ def _priorities(cfg: GenConfig, rng) -> list[list[int]]:
     return [[int(s) for s in rng.permutation(n)] for _ in range(c)]
 
 
-def _unaligned_order(cfg: GenConfig, rng) -> list[tuple[int, int]]:
+@functools.lru_cache(maxsize=64)
+def _unaligned_pairs(c: int, r: int):
+    """The slot template of _unaligned_order, and per college its non-empty
+    pairs and its empty pair, built once per shape."""
+    slots = tuple(ci for ci in range(c) for _ in range(r + 1))
+    pairs = tuple(tuple((ci, ri) for ri in range(1, r + 1)) for ci in range(c))
+    return slots, pairs, tuple((ci, EMPTY_RESOURCE) for ci in range(c))
+
+
+def _unaligned_order(cfg: GenConfig, draws: Draws) -> list[tuple[int, int]]:
     """Uniform order over all pairs with each college's empty pair last.
 
     Equivalent to picking, independently and uniformly, an interleaving of
     the colleges' pair slots and a within-college order of the non-empty
-    pairs: together those choices biject onto the valid full orders.
+    pairs: together those choices biject onto the valid full orders. The
+    draws are those of numpy's shuffle of the slot array, then of each
+    college's resources 1..r in college order; a `Generator`, whose
+    shuffle of a list draws the same, may stand in for draws.
     """
-    c, r = cfg.n_colleges, cfg.n_resources
-    slots = np.repeat(np.arange(c), r + 1)
-    rng.shuffle(slots)
-    queues = []
-    for ci in range(c):
-        res = [int(x) for x in rng.permutation(np.arange(1, r + 1))]
-        res.append(0)
-        queues.append(res[::-1])  # pop from the end
-    return [(int(ci), queues[ci].pop()) for ci in slots]
+    slots, pairs, empties = _unaligned_pairs(cfg.n_colleges, cfg.n_resources)
+    slots = list(slots)
+    draws.shuffle(slots)
+    nexts = []
+    for own, empty in zip(pairs, empties):
+        own = list(own)
+        draws.shuffle(own)
+        own.append(empty)
+        nexts.append(iter(own).__next__)
+    return [nexts[ci]() for ci in slots]
 
 
 def _grid_order(
@@ -273,25 +300,29 @@ def _grid_order(
 
 
 def _preferences(cfg: GenConfig, rng) -> list[list[tuple[int, int]]]:
-    aligned_students = cfg.alignment in (
-        "student_semi",
-        "student_full",
-        "student_and_college_full",
-    )
-    if cfg.alignment == "student_semi" and cfg.semi_sampler == "quality":
-        weights = np.arange(1, cfg.n_colleges + 1, dtype=float)
+    """Every student's list, truncated as cfg says; each list's truncation
+    is drawn right after its order.
+
+    The unaligned regimes draw through a `Draws` that continues rng's
+    stream, which is why rng must not draw after this. The aligned ones keep
+    rng: their weighted picks read a whole fresh word through rng.random().
+    """
+    if cfg.alignment in ("none", "college_full"):
+        draws = Draws.from_generator(rng)
+        sample = functools.partial(_unaligned_order, cfg, draws)
+        integers = draws.integers
     else:
         weights = None
+        if cfg.alignment == "student_semi" and cfg.semi_sampler == "quality":
+            weights = np.arange(1, cfg.n_colleges + 1, dtype=float)
+        sample = functools.partial(_grid_order, cfg, rng, weights)
+        integers = rng.integers
 
     prefs = []
     for _ in range(cfg.n_students):
-        if aligned_students:
-            order = _grid_order(cfg, rng, weights)
-        else:
-            order = _unaligned_order(cfg, rng)
+        order = sample()
         if cfg.truncation == "uniform":
-            keep = int(rng.integers(len(order) + 1))
-            order = order[:keep]
+            order = order[: int(integers(len(order) + 1))]
         prefs.append(order)
     return prefs
 
@@ -312,7 +343,7 @@ def generate_market(cfg: GenConfig, seed: Optional[int] = None) -> Market:
         raise ValueError("resource budget leaves a resource without units")
     regions = _regions(cfg, rng)
     priorities = _priorities(cfg, rng)
-    preferences = _preferences(cfg, rng)
+    preferences = _preferences(cfg, rng)  # the last draw: rng is spent
     return Market(
         n_students=cfg.n_students,
         college_quotas=college_quotas,

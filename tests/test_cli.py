@@ -248,6 +248,41 @@ def test_config_values_out_of_range_name_their_key(
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "mechanisms, argv, message",
+    [
+        (["irc", "irc"], [], "repeats 'irc'"),
+        (["rsd", "irc", "rsd"], [], "repeats 'rsd'"),
+        ([], [], "at least one"),
+        (["imc"], ["--mechanisms", "irc,irc"], "repeats 'irc'"),
+        (["imc"], ["--mechanisms", ","], "at least one"),
+    ],
+    ids=["repeat", "repeat-apart", "empty", "repeat-flag", "empty-flag"],
+)
+def test_repeated_or_missing_mechanisms_are_clean_errors(
+    tmp_path, capsys, mechanisms, argv, message
+):
+    doc = TINY.to_dict()
+    doc["mechanisms"] = mechanisms
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out), *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("capmatch: error: ") and "'mechanisms'" in err
+    assert message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_fewer_than_one_job_is_a_clean_error(tmp_path, config_path, capsys, jobs):
+    out = tmp_path / "out"
+    argv = ["run", "--config", str(config_path), "--out", str(out), "--jobs", jobs]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"capmatch: error: jobs must be >= 1, got {jobs}\n"
+    assert not (out / "results.json").exists()
+
+
 def test_a_config_that_is_not_an_object_is_a_clean_error(tmp_path, capsys):
     path = tmp_path / "config.json"
     for doc in ([1, 2], {"market": 5}):

@@ -1,9 +1,9 @@
 """`Draws` against numpy: the same seed gives the same numbers, call for call.
 
-Every test runs one `Draws` and one `np.random.default_rng` on the same seed
-through the same calls, so a pending high half, a rejection or a refill of
-the word buffer that the replica handled differently would show as a
-different number in that call or a later one.
+Every test runs one `Draws` and one `np.random.default_rng` on the same seed,
+or on the same point of one stream, through the same calls, so a pending high
+half, a rejection or a refill of the word buffer that the replica handled
+differently would show as a different number in that call or a later one.
 """
 
 import numpy as np
@@ -17,16 +17,24 @@ BOUNDS = (1, 2, 3, 60, 199, 2**31 + 5, 2**32)
 U32 = 1 << 32
 
 
-def numpy_call(rng, op, arg):
+def call(source, op, arg):
+    """One draw from a Draws or a Generator, as an int or a list of ints."""
     if op == "integers":
-        return int(rng.integers(arg))
-    return rng.permutation(arg).tolist()
+        return int(source.integers(arg))
+    if op == "shuffle":  # of arg items that are not ints
+        items = [f"item {i}" for i in range(arg)]
+        source.shuffle(items)
+        return items
+    return [int(i) for i in source.permutation(arg)]
+
+
+def assert_same_draws(draws, rng, calls, label=None):
+    for i, (op, arg) in enumerate(calls):
+        assert call(draws, op, arg) == call(rng, op, arg), (label, i, op, arg)
 
 
 def assert_same_stream(seed, calls):
-    draws, rng = Draws(seed), np.random.default_rng(seed)
-    for i, (op, arg) in enumerate(calls):
-        assert getattr(draws, op)(arg) == numpy_call(rng, op, arg), (seed, i, op, arg)
+    assert_same_draws(Draws(seed), np.random.default_rng(seed), calls, seed)
 
 
 def test_every_bound_and_length_interleaved_on_one_stream():
@@ -34,8 +42,10 @@ def test_every_bound_and_length_interleaved_on_one_stream():
     for n in range(41):
         calls.append(("permutation", n))
         calls.extend(("integers", k) for k in BOUNDS)
-    # a permutation(n) takes at least n - 1 32-bit draws and integers(k > 1)
-    # at least one, so the sweep crosses a refill of the word buffer
+        calls.append(("shuffle", n))
+    # a permutation(n) or a shuffle of n items takes at least n - 1 32-bit
+    # draws and integers(k > 1) at least one, so the sweep crosses a refill
+    # of the word buffer
     least = sum(n - 1 for n in range(2, 41)) + 41 * sum(k > 1 for k in BOUNDS)
     assert least > 2 * _CHUNK
     for seed in (0, 1, 2025, 2**63 + 7):
@@ -57,6 +67,52 @@ def test_a_pending_high_half_carries_across_calls():
     ]
     for seed in range(20):
         assert_same_stream(seed, calls)
+
+
+def test_shuffle_matches_generator_shuffle_of_lists_and_arrays():
+    for seed in range(5):
+        draws, rng = Draws(seed), np.random.default_rng(seed)
+        for n in range(41):
+            for items in (
+                [(n, i) for i in range(n)],
+                [float(i) / 2 for i in range(n)],
+                [None] * (n // 2) + ["x"] * (n - n // 2),
+            ):
+                mine, theirs = list(items), list(items)
+                draws.shuffle(mine)
+                rng.shuffle(theirs)
+                assert mine == theirs, (seed, n)
+            # the same draws as numpy's typed path for a 1-D array
+            mine, theirs = list(range(n)), np.arange(n)
+            draws.shuffle(mine)
+            rng.shuffle(theirs)
+            assert mine == theirs.tolist(), (seed, n)
+
+
+HAND_IN_CALLS = [
+    ("integers", 3),
+    ("shuffle", 9),
+    ("integers", 2**32),
+    ("permutation", 5),
+    ("integers", 1),
+    ("integers", 199),
+]
+
+
+@pytest.mark.parametrize("before", [0, 1, 2, 5, 6, 2 * _CHUNK + 1])
+def test_a_hand_in_draws_what_the_generator_would_draw_next(before):
+    """After an odd number of integers(k) calls the generator holds the high
+    half of a word; the hand-in must draw it first, then fresh words."""
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        for _ in range(before):
+            rng.integers(1000)  # one 32-bit draw but for a 296 in 2**32 chance
+        assert rng.bit_generator.state["has_uint32"] == before % 2
+        twin = np.random.Generator(np.random.PCG64())
+        twin.bit_generator.state = rng.bit_generator.state
+        draws = Draws.from_generator(rng)
+        # 80 rounds take at least 1200 halves, past the first refill
+        assert_same_draws(draws, twin, HAND_IN_CALLS * 80, (seed, before))
 
 
 def first_word(seed):
@@ -103,6 +159,7 @@ CALLS = st.lists(
         st.tuples(st.just("integers"), st.sampled_from(BOUNDS)),
         st.tuples(st.just("integers"), st.integers(1, 2**32)),
         st.tuples(st.just("permutation"), st.integers(0, 40)),
+        st.tuples(st.just("shuffle"), st.integers(0, 40)),
     ),
     max_size=60,
 )

@@ -47,6 +47,10 @@ def test_experiment_config_validation():
         ExperimentConfig(market=TINY, replicas=-1)
     with pytest.raises(ValueError):
         ExperimentConfig(market=TINY, mechanisms=("irc", "nope"))
+    with pytest.raises(ValueError, match="'mechanisms' repeats 'irc'"):
+        ExperimentConfig(market=TINY, mechanisms=("irc", "rsd", "irc"))
+    with pytest.raises(ValueError, match="'mechanisms' must name at least one"):
+        ExperimentConfig(market=TINY, mechanisms=())
     # zero replicas is a legal manifest-only experiment
     assert run_experiment(ExperimentConfig(market=TINY, replicas=0)) == []
     cfg = ExperimentConfig(market=TINY, replicas=2)
@@ -91,6 +95,13 @@ def test_a_process_pool_gives_the_serial_results():
         market=TINY, replicas=3, mechanisms=("irc", "csd"), master_seed=4,
     )
     assert run_experiment(cfg, jobs=2) == run_experiment(cfg, jobs=1)
+
+
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_fewer_than_one_job_is_refused(jobs):
+    cfg = ExperimentConfig(market=TINY, replicas=1, mechanisms=("rsd",))
+    with pytest.raises(ValueError, match="jobs must be >= 1"):
+        run_experiment(cfg, jobs=jobs)
 
 
 def test_aggregate_math():
