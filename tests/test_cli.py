@@ -279,7 +279,8 @@ def test_fewer_than_one_job_is_a_clean_error(tmp_path, config_path, capsys, jobs
     out = tmp_path / "out"
     argv = ["run", "--config", str(config_path), "--out", str(out), "--jobs", jobs]
     assert main(argv) == 1
-    assert capsys.readouterr().err == f"capmatch: error: jobs must be >= 1, got {jobs}\n"
+    err = capsys.readouterr().err
+    assert err == f"capmatch: error: jobs must be >= 1, got {jobs}\n"
     assert not (out / "results.json").exists()
 
 

@@ -2,16 +2,17 @@
 
 The golden digests are sha256 sums of `results_to_json` for one small
 experiment per alignment regime, each running all six mechanisms, and of
-`dumps_market` for generated markets of every regime and semi sampler. A
-change that moves one of them changes behaviour and must say so; re-pinning
-a digest to get a green run is not allowed.
+`dumps_market` for generated markets of every regime and semi sampler, and
+of one n=2000 market. A change that moves one of them changes behaviour and
+must say so; re-pinning a digest to get a green run is not allowed.
 
 The differential tests hold `run_irc`, `run_imc`, `run_csd`, the grid
 sampler, the unaligned preference lists, the audit's domination-witness
 search and the census's Pareto scan to reference copies of their original
-loops: same inputs, same seeds, equal outputs. The references draw from numpy's `Generator` and run on frozen
-copies of the engine and of the audit's per-contract checks, kept in this
-file, so that a rewrite of the live helpers is checked, not followed.
+loops: same inputs, same seeds, equal outputs. The references draw from
+numpy's `Generator` and run on frozen copies of the engine and of the
+audit's per-contract checks, kept in this file, so that a rewrite of the
+live helpers is checked, not followed.
 """
 
 from __future__ import annotations
