@@ -75,9 +75,9 @@ def cmd_run(args) -> int:
     if args.mechanisms:
         mechanisms = tuple(s.strip() for s in args.mechanisms.split(",") if s.strip())
         config = dataclasses.replace(config, mechanisms=mechanisms)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     results = run_experiment(config, jobs=args.jobs)
+    out = Path(args.out)  # made only once the run is done: a refused run leaves none
+    out.mkdir(parents=True, exist_ok=True)
     (out / "results.json").write_text(results_to_json(config, results))
     print(
         f"ran {len(results)} runs "

@@ -15,6 +15,8 @@ rationality = every student finds her own contract acceptable.
 from __future__ import annotations
 
 import json
+from itertools import chain, compress, repeat
+from operator import lt
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 EMPTY_RESOURCE = 0
@@ -29,6 +31,40 @@ class Contract(NamedTuple):
 
 
 Pair = tuple[int, int]  # (college, resource) as seen from a student's list
+
+
+def _first_positions(items: Sequence, start: int) -> dict:
+    """{item: position} counting from start, the first occurrence winning.
+
+    Built in C over the reversed sequence, so an earlier occurrence
+    overwrites a later one.
+    """
+    n = len(items)
+    return dict(zip(reversed(items), range(n - 1 + start, start - 1, -1)))
+
+
+def _distinct_pairs(prefs: Sequence[tuple]) -> Optional[set]:
+    """The set of distinct pairs in prefs if every pair is a tuple of two
+    plain ints, else None.
+
+    Each check runs in C: an unhashable pair (a list) fails the union, the
+    distinct pairs are few enough to inspect one by one, and the sum of all
+    ids stays an int only when no id is a numpy integer or a float, which
+    also catches one hidden behind an equal plain pair.
+    """
+    try:
+        pairs = set().union(*prefs)
+        total = sum(chain.from_iterable(chain.from_iterable(prefs)))
+    except (TypeError, OverflowError):
+        return None
+    if type(total) is not int:
+        return None
+    for p in pairs:
+        if type(p) is not tuple or len(p) != 2:
+            return None
+        if type(p[0]) is not int or type(p[1]) is not int:
+            return None
+    return pairs
 
 
 class Market:
@@ -70,26 +106,32 @@ class Market:
             raise ValueError("need one preference list per student")
 
         self.n_students = int(n_students)
-        self.college_quotas = tuple(int(q) for q in college_quotas)
+        self.college_quotas = tuple(map(int, college_quotas))
         self.n_colleges = len(self.college_quotas)
-        self.resource_quotas = tuple(int(q) for q in resource_quotas)
+        self.resource_quotas = tuple(map(int, resource_quotas))
         self.n_resources = len(self.resource_quotas)  # non-empty only
-        self.regions = tuple(frozenset(int(c) for c in reg) for reg in regions)
-        self.priorities = tuple(tuple(int(s) for s in p) for p in priorities)
-        self.preferences = tuple(
-            tuple((int(c), int(r)) for (c, r) in prefs) for prefs in preferences
-        )
+        self.regions = tuple(frozenset(map(int, reg)) for reg in regions)
+        self.priorities = tuple(tuple(map(int, p)) for p in priorities)
+        # the caller's pairs are kept when they are tuples of two plain ints
+        # (generate_market hands over one shared tuple per (c, r)); anything
+        # else (numpy ints, lists from JSON) is rebuilt as (int(c), int(r))
+        prefs = tuple(map(tuple, preferences))
+        pairs = _distinct_pairs(prefs)
+        if pairs is None:
+            prefs = tuple(tuple((int(c), int(r)) for (c, r) in p) for p in prefs)
+            pairs = set().union(*prefs)
+        self.preferences = prefs
+        # every distinct (c, r) some student lists: validate_market reads
+        # unknown ids off it instead of walking every pair
+        self._pairs = frozenset(pairs)
 
         # rank lookup: _rank[c][s] = 1-based position of s in c's list, or None.
         # Permissive: duplicate entries keep the first position, missing
         # students stay None; validate_market reports both.
-        self._rank: list[list[Optional[int]]] = []
-        for plist in self.priorities:
-            row: list[Optional[int]] = [None] * self.n_students
-            for pos, s in enumerate(plist):
-                if 0 <= s < self.n_students and row[s] is None:
-                    row[s] = pos + 1
-            self._rank.append(row)
+        self._rank: list[list[Optional[int]]] = [
+            list(map(_first_positions(plist, 1).get, range(self.n_students)))
+            for plist in self.priorities
+        ]
         # colleges whose list is not a permutation of the students: a list of
         # length n that ranks every student holds each exactly once
         self._non_permutation_priorities = tuple(
@@ -99,13 +141,9 @@ class Market:
         )
 
         # _pref_pos[s][(c, r)] = 0-based position, first occurrence wins.
-        self._pref_pos: list[dict[Pair, int]] = []
-        for prefs in self.preferences:
-            pos_map: dict[Pair, int] = {}
-            for pos, pair in enumerate(prefs):
-                if pair not in pos_map:
-                    pos_map[pair] = pos
-            self._pref_pos.append(pos_map)
+        self._pref_pos: list[dict[Pair, int]] = [
+            _first_positions(p, 0) for p in self.preferences
+        ]
 
     # -- basic lookups -----------------------------------------------------
 
@@ -362,35 +400,60 @@ def validate_market(m: Market) -> list[tuple[str, str]]:
             )
         )
 
-    for s, prefs in enumerate(m.preferences):
-        seen: set[Pair] = set()
-        for c, r in prefs:
-            if not (0 <= c < m.n_colleges):
-                out.append(("error", f"student {s} lists unknown college {c}"))
-                continue
-            if not (0 <= r <= m.n_resources):
-                out.append(("error", f"student {s} lists unknown resource {r}"))
-                continue
-            if (c, r) in seen:
-                out.append(("error", f"student {s} lists ({c},{r}) twice"))
-            seen.add((c, r))
-        # presence convention: (c, r) with r != 0 wants (c, 0) later in the list
-        for pos, (c, r) in enumerate(prefs):
-            if r == EMPTY_RESOURCE:
-                continue
-            if not (0 <= c < m.n_colleges) or not (0 <= r <= m.n_resources):
-                continue
-            tail_pos = m._pref_pos[s].get((c, EMPTY_RESOURCE))
-            if tail_pos is None or tail_pos <= pos:
-                out.append(
-                    (
-                        "warning",
-                        f"student {s} lists ({c},{r}) without ({c},0) after it",
-                    )
-                )
-                break  # one warning per student keeps the report readable
+    n_colleges, n_resources = m.n_colleges, m.n_resources
+    unknown = {
+        p for p in m._pairs if not (0 <= p[0] < n_colleges and 0 <= p[1] <= n_resources)
+    }
+    # the empty-resource pair of each listed pair's college
+    empty_of = {p: (p[0], EMPTY_RESOURCE) for p in m._pairs}
+    for s, (prefs, pos_map) in enumerate(zip(m.preferences, m._pref_pos)):
+        if len(pos_map) < len(prefs) or (unknown and not unknown.isdisjoint(pos_map)):
+            out.extend(_student_diagnostics(m, s))
+            continue
+        # No duplicate and no unknown id: each pair sits at its own position,
+        # so the pair at position i breaks the presence convention iff its
+        # (c, 0) is missing (-1) or sits before i; (c, 0) itself sits at i.
+        tails = map(pos_map.get, map(empty_of.__getitem__, prefs), repeat(-1))
+        positions = range(len(prefs))
+        pos = next(compress(positions, map(lt, tails, positions)), None)
+        if pos is not None:
+            c, r = prefs[pos]
+            out.append(_presence_warning(s, c, r))
 
     return out
+
+
+def _student_diagnostics(m: Market, s: int) -> list[tuple[str, str]]:
+    """validate_market's entries for student s, pair by pair: unknown ids
+    and repeated pairs in list order, then at most one presence warning."""
+    out: list[tuple[str, str]] = []
+    prefs = m.preferences[s]
+    seen: set[Pair] = set()
+    for c, r in prefs:
+        if not (0 <= c < m.n_colleges):
+            out.append(("error", f"student {s} lists unknown college {c}"))
+            continue
+        if not (0 <= r <= m.n_resources):
+            out.append(("error", f"student {s} lists unknown resource {r}"))
+            continue
+        if (c, r) in seen:
+            out.append(("error", f"student {s} lists ({c},{r}) twice"))
+        seen.add((c, r))
+    # presence convention: (c, r) with r != 0 wants (c, 0) later in the list
+    for pos, (c, r) in enumerate(prefs):
+        if r == EMPTY_RESOURCE:
+            continue
+        if not (0 <= c < m.n_colleges) or not (0 <= r <= m.n_resources):
+            continue
+        tail_pos = m._pref_pos[s].get((c, EMPTY_RESOURCE))
+        if tail_pos is None or tail_pos <= pos:
+            out.append(_presence_warning(s, c, r))
+            break  # one warning per student keeps the report readable
+    return out
+
+
+def _presence_warning(s: int, c: int, r: int) -> tuple[str, str]:
+    return ("warning", f"student {s} lists ({c},{r}) without ({c},0) after it")
 
 
 # -- serialization ---------------------------------------------------------
@@ -426,8 +489,39 @@ def dumps_market(m: Market) -> str:
 
     Canonical means byte-stable: dumps(loads(text)) == text for anything this
     function produced, which the harness relies on for reproducibility diffs.
+    The text is json.dumps(market_to_dict(m), indent=2, sort_keys=True)
+    plus a newline, written directly: each distinct pair is rendered once.
     """
-    return json.dumps(market_to_dict(m), indent=2, sort_keys=True) + "\n"
+    pair_text = {
+        p: f"[\n        {p[0]},\n        {p[1]}\n      ]" for p in m._pairs
+    }
+    colleges = [f'{{\n      "quota": {q}\n    }}' for q in m.college_quotas]
+    resources = [
+        f'{{\n      "quota": {q},\n      "region": '
+        f"{_json_array(map(str, sorted(reg)), 3)}\n    }}"
+        for q, reg in zip(m.resource_quotas, m.regions)
+    ]
+    priorities = [_json_array(map(str, p), 2) for p in m.priorities]
+    preferences = [
+        _json_array(map(pair_text.__getitem__, prefs), 2) for prefs in m.preferences
+    ]
+    return (
+        f'{{\n  "colleges": {_json_array(colleges, 1)},'
+        f'\n  "preferences": {_json_array(preferences, 1)},'
+        f'\n  "priorities": {_json_array(priorities, 1)},'
+        f'\n  "resources": {_json_array(resources, 1)},'
+        f'\n  "students": {m.n_students}\n}}\n'
+    )
+
+
+def _json_array(items: Iterable[str], depth: int) -> str:
+    """A JSON array of rendered items at nesting depth, laid out as
+    json.dumps(indent=2) lays it out: one item a line, [] when empty."""
+    inner = "\n" + "  " * (depth + 1)
+    body = ("," + inner).join(items)
+    if not body:
+        return "[]"
+    return "[" + inner + body + "\n" + "  " * depth + "]"
 
 
 def loads_market(text: str) -> Market:

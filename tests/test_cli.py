@@ -281,7 +281,7 @@ def test_fewer_than_one_job_is_a_clean_error(tmp_path, config_path, capsys, jobs
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err == f"capmatch: error: jobs must be >= 1, got {jobs}\n"
-    assert not (out / "results.json").exists()
+    assert not out.exists()
 
 
 def test_a_config_that_is_not_an_object_is_a_clean_error(tmp_path, capsys):

@@ -8,8 +8,10 @@ must say so; re-pinning a digest to get a green run is not allowed.
 
 The differential tests hold `run_irc`, `run_imc`, `run_csd`, the grid
 sampler, the unaligned preference lists, the audit's domination-witness
-search and the census's Pareto scan to reference copies of their original
-loops: same inputs, same seeds, equal outputs. The references draw from
+search, the census's Pareto scan, the `Market` constructor's lookup tables
+and `validate_market` to reference copies of their original loops, and
+`dumps_market` to the `json.dumps` writer it replaced: same inputs, same
+seeds, equal outputs. The references draw from
 numpy's `Generator` and run on frozen copies of the engine and of the
 audit's per-contract checks, kept in this file, so that a rewrite of the
 live helpers is checked, not followed.
@@ -45,6 +47,7 @@ from capmatch import (
     run_experiment,
     run_imc,
     run_irc,
+    validate_market,
 )
 from capmatch import oracle
 from capmatch.blocking import (
@@ -948,3 +951,225 @@ def test_is_pareto_efficient_matches_the_reference():
             assert got == reference_is_pareto_efficient(m, mu), (name, mu)
             checked[mu in mus, got] += 1
     assert min(checked.values()) > 0
+
+
+# -- the market writer, the constructor's tables and validate_market, against
+# frozen copies of the json.dumps writer and of the original pair-by-pair loops
+
+
+def reference_market_to_dict(m) -> dict:
+    return {
+        "students": m.n_students,
+        "colleges": [{"quota": q} for q in m.college_quotas],
+        "resources": [
+            {"quota": q, "region": sorted(reg)}
+            for q, reg in zip(m.resource_quotas, m.regions)
+        ],
+        "priorities": [list(p) for p in m.priorities],
+        "preferences": [[[c, r] for (c, r) in prefs] for prefs in m.preferences],
+    }
+
+
+def reference_dumps_market(m) -> str:
+    return json.dumps(reference_market_to_dict(m), indent=2, sort_keys=True) + "\n"
+
+
+def reference_tables(m):
+    """The constructor's _rank, non-permutation list and _pref_pos, built
+    entry by entry as the original constructor built them."""
+    ranks = []
+    for plist in m.priorities:
+        row = [None] * m.n_students
+        for pos, s in enumerate(plist):
+            if 0 <= s < m.n_students and row[s] is None:
+                row[s] = pos + 1
+        ranks.append(row)
+    non_permutation = tuple(
+        c
+        for c, (plist, row) in enumerate(zip(m.priorities, ranks))
+        if len(plist) != m.n_students or None in row
+    )
+    pref_pos = []
+    for prefs in m.preferences:
+        pos_map = {}
+        for pos, pair in enumerate(prefs):
+            if pair not in pos_map:
+                pos_map[pair] = pos
+        pref_pos.append(pos_map)
+    return ranks, non_permutation, pref_pos
+
+
+def reference_validate_market(m) -> list[tuple[str, str]]:
+    _, non_permutation, pref_pos = reference_tables(m)
+    out = []
+    for c, q in enumerate(m.college_quotas):
+        if q < 1:
+            out.append(("error", f"college {c} has quota {q} (< 1)"))
+    for i, q in enumerate(m.resource_quotas):
+        if q < 1:
+            out.append(("error", f"resource {i + 1} has quota {q} (< 1)"))
+    for i, reg in enumerate(m.regions):
+        if not reg:
+            out.append(("error", f"resource {i + 1} has an empty region"))
+        for c in reg:
+            if not (0 <= c < m.n_colleges):
+                out.append(
+                    ("error", f"resource {i + 1} region names unknown college {c}")
+                )
+    for c in non_permutation:
+        out.append(
+            (
+                "error",
+                f"college {c} priority list is not a permutation of the "
+                f"{m.n_students} students",
+            )
+        )
+    for s, prefs in enumerate(m.preferences):
+        seen = set()
+        for c, r in prefs:
+            if not (0 <= c < m.n_colleges):
+                out.append(("error", f"student {s} lists unknown college {c}"))
+                continue
+            if not (0 <= r <= m.n_resources):
+                out.append(("error", f"student {s} lists unknown resource {r}"))
+                continue
+            if (c, r) in seen:
+                out.append(("error", f"student {s} lists ({c},{r}) twice"))
+            seen.add((c, r))
+        for pos, (c, r) in enumerate(prefs):
+            if r == EMPTY_RESOURCE:
+                continue
+            if not (0 <= c < m.n_colleges) or not (0 <= r <= m.n_resources):
+                continue
+            tail_pos = pref_pos[s].get((c, EMPTY_RESOURCE))
+            if tail_pos is None or tail_pos <= pos:
+                out.append(
+                    (
+                        "warning",
+                        f"student {s} lists ({c},{r}) without ({c},0) after it",
+                    )
+                )
+                break
+    return out
+
+
+# (n, C, R) per writer size; the n=2000 shape is the dictators_2000 one
+WRITER_SHAPES = [(7, 3, 2), (100, 10, 5), (2000, 20, 5)]
+
+
+@pytest.fixture(scope="module")
+def regime_markets():
+    """One market of every regime at each writer size, and three with full
+    lists and random regions at n=100."""
+    markets = [
+        generate_market(
+            GenConfig(n_students=n, n_colleges=c, n_resources=r, alignment=a),
+            seed=31 + i,
+        )
+        for i, ((n, c, r), a) in enumerate(itertools.product(WRITER_SHAPES, ALIGNMENTS))
+    ]
+    cfg = GenConfig(truncation="none", region_scheme="random:3")
+    return [*markets, *(generate_market(cfg, seed=s) for s in range(3))]
+
+
+def bad_markets():
+    """Hand-built markets, each breaking the rules or the presence convention
+    in one way, then a few that break several at once."""
+    ok_priorities = [[0, 1, 2]] * 2
+
+    def three_students(*prefs):
+        return Market(3, [1, 2], [1, 2], [[0], [0, 1]], ok_priorities, list(prefs))
+
+    full = [(0, 1), (0, 0), (1, 2), (1, 0)]
+    yield three_students([(0, 1), (0, 0), (0, 1)], full, [])  # duplicate pair
+    yield three_students(full, [(1, 0), (0, 0), (1, 0)], [])  # duplicate (c, 0)
+    yield three_students(full, [(5, 0), (0, 0)], [(-1, 0)])  # unknown college
+    yield three_students([(0, 3), (0, 0)], full, [(1, -1)])  # unknown resource
+    yield three_students([(7, 9), (0, 2)], [(2, 0), (-1, -1)], full)  # both unknown
+    yield three_students([(0, 1), (1, 0)], full, [])  # presence at the first pair
+    yield three_students(full, [(1, 0), (1, 2), (0, 0)], [])  # at a later pair
+    yield three_students([(0, 0), (0, 1)], [(1, 1), (1, 2), (1, 0), (0, 2)], full)
+    yield Market(2, [0, -1, 1], [0, -2], [[0], [2]], [[0, 1]] * 3, [[], []])
+    yield Market(2, [1], [1, 1], [[], [0, 4, -1]], [[0, 1]], [[(0, 0)], []])
+    yield Market(
+        3, [1, 1, 1, 1], [], [], [[0, 0, 1], [0, 1], [2, 1, 0, 2], [1, 3, 0]],
+        [[(0, 0)], [(1, 0)], [(2, 0)]],
+    )
+    # several faults on one student, in list order, then a later presence break
+    yield three_students(
+        [(0, 1), (0, 0), (0, 1), (9, 1), (1, 2), (1, 2), (0, 7), (1, 0)],
+        [(1, 2), (0, 0), (1, 0), (1, 2), (1, 1)],
+        [(1, 1), (0, 1), (0, 0), (1, 0), (0, 0)],
+    )
+
+
+def random_bad_markets(count=300):
+    """Small markets with ids drawn a little outside their ranges, repeated
+    pairs and short or repeated priority lists."""
+    rng = np.random.default_rng(11)
+    for _ in range(count):
+        n, c, r = (int(x) for x in rng.integers(1, 5, size=3))
+        quotas = [int(q) for q in rng.integers(0, 3, size=c)]
+        regions = [
+            sorted({int(x) for x in rng.integers(-1, c + 1, size=rng.integers(0, 3))})
+            for _ in range(r)
+        ]
+        priorities = [
+            [int(s) for s in rng.permutation(n)]
+            if rng.random() < 0.7
+            else [int(s) for s in rng.integers(-1, n + 1, size=rng.integers(0, n + 2))]
+            for _ in range(c)
+        ]
+        preferences = [
+            [
+                (int(rng.integers(-1, c + 1)), int(rng.integers(-1, r + 2)))
+                for _ in range(rng.integers(0, 7))
+            ]
+            for _ in range(n)
+        ]
+        yield Market(n, quotas, [int(q) for q in rng.integers(0, 3, size=r)],
+                     regions, priorities, preferences)
+
+
+def edge_markets():
+    """No students, one college, no resources, empty lists."""
+    yield Market(0, [1], [], [], [[]], [])
+    yield Market(2, [1], [], [], [[1, 0]], [[], [(0, 0)]])
+    yield Market(3, [2], [1, 1], [[0], [0]], [[2, 0, 1]], [[], [], []])
+
+
+def test_dumps_market_matches_the_json_dumps_reference(regime_markets):
+    sizes = set()
+    markets = [
+        *(load_fixture(name) for name in fixture_names()),
+        *regime_markets,
+        *bad_markets(),
+        *edge_markets(),
+    ]
+    for m in markets:
+        assert dumps_market(m) == reference_dumps_market(m), m
+        sizes.add(m.n_students)
+    assert {7, 100, 2000} <= sizes
+
+
+def test_validate_market_matches_the_pair_by_pair_reference(regime_markets):
+    severities = {"error": 0, "warning": 0}
+    markets = [
+        *(load_fixture(name) for name in fixture_names()),
+        *regime_markets,
+        *bad_markets(),
+        *random_bad_markets(),
+        *edge_markets(),
+    ]
+    for m in markets:
+        got = validate_market(m)
+        assert got == reference_validate_market(m), m
+        ranks, non_permutation, pref_pos = reference_tables(m)
+        assert (m._rank, m._non_permutation_priorities, m._pref_pos) == (
+            ranks,
+            non_permutation,
+            pref_pos,
+        ), m
+        for severity, _ in got:
+            severities[severity] += 1
+    assert min(severities.values()) > 100, severities

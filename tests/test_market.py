@@ -254,6 +254,82 @@ def test_market_serialization_is_canonical():
     assert json.dumps(doc, indent=2, sort_keys=True) + "\n" == text
 
 
+def round_trip_markets():
+    """Every fixture, and markets with empty lists, no resources (R=0), one
+    college (C=1) and no students."""
+    for name in fixture_names():
+        yield load_fixture(name)
+    yield Market(3, [1, 2], [1], [[1]], [[0, 1, 2], [2, 1, 0]], [[], [(1, 1)], []])
+    yield Market(2, [1, 1], [], [], [[0, 1], [1, 0]], [[(1, 0), (0, 0)], []])
+    yield Market(2, [2], [1, 1], [[0], [0]], [[1, 0]], [[(0, 2), (0, 0)], []])
+    yield Market(0, [1], [], [], [[]], [])
+    yield generate_market(GenConfig(n_students=9, n_colleges=1, n_resources=0))
+
+
+@pytest.mark.parametrize("m", list(round_trip_markets()))
+def test_markets_round_trip_through_text(m):
+    text = dumps_market(m)
+    assert loads_market(text) == m
+    assert dumps_market(loads_market(text)) == text
+
+
+def plain_ints(m):
+    """Every id and quota the market stores, as a flat list."""
+    return [
+        m.n_students,
+        *m.college_quotas,
+        *m.resource_quotas,
+        *(c for reg in m.regions for c in reg),
+        *(s for plist in m.priorities for s in plist),
+        *(x for prefs in m.preferences for pair in prefs for x in pair),
+    ]
+
+
+def test_numpy_and_json_ids_are_stored_as_plain_ints():
+    import numpy as np
+
+    ref = tiny_market()
+    i64 = np.int64
+    from_numpy = Market(
+        n_students=i64(2),
+        college_quotas=np.array([1, 1]),
+        resource_quotas=np.array([1]),
+        regions=[np.array([0, 1])],
+        priorities=np.array([[1, 0], [0, 1]]),
+        preferences=[
+            [(i64(0), i64(1)), (i64(1), i64(1))],
+            [(i64(1), i64(1)), (i64(0), i64(1))],
+        ],
+    )
+    from_json = Market(**json.loads(json.dumps(dict(
+        n_students=2,
+        college_quotas=[1, 1],
+        resource_quotas=[1],
+        regions=[[0, 1]],
+        priorities=[[1, 0], [0, 1]],
+        preferences=[[[0, 1], [1, 1]], [[1, 1], [0, 1]]],
+    ))))
+    # one numpy pair behind an equal plain pair, and one float id
+    hidden = Market(2, [1, 1], [1], [[0, 1]], [[1, 0], [0, 1]],
+                    [[(0, 1), (1, 1)], [(1, 1), (i64(0), 1.0)]])
+    for m in (from_numpy, from_json, hidden):
+        assert m == ref
+        probe = m.with_student_preferences(1, [(i64(1), i64(1))])
+        for market in (m, probe):
+            assert all(type(x) is int for x in plain_ints(market)), market
+            assert all(type(p) is tuple for ps in market.preferences for p in ps)
+            text = dumps_market(market)
+            assert dumps_market(loads_market(text)) == text
+        assert dumps_market(m) == dumps_market(ref)
+        assert validate_market(m) == validate_market(ref)
+
+
+def test_generated_pairs_are_kept_not_copied():
+    m = generate_market(GenConfig(n_students=30, n_colleges=4, n_resources=2))
+    pairs = {id(p) for prefs in m.preferences for p in prefs}
+    assert len(pairs) <= 4 * 3  # one shared tuple per (c, r)
+
+
 def test_matching_list_round_trip():
     mu = Matching([Contract(2, 1, 0), Contract(0, 0, 1)])
     rows = matching_to_list(mu)
