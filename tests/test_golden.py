@@ -2,19 +2,21 @@
 
 The golden digests are sha256 sums of `results_to_json` for one small
 experiment per alignment regime, each running all six mechanisms, and of
-`dumps_market` for generated markets of every regime and semi sampler, and
-of one n=2000 market. A change that moves one of them changes behaviour and
-must say so; re-pinning a digest to get a green run is not allowed.
+`dumps_market` for generated markets of every regime and semi sampler, of
+markets whose college quotas are split at random, and of one n=2000 market.
+A change that moves one of them changes behaviour and must say so;
+re-pinning a digest to get a green run is not allowed.
 
-The differential tests hold `run_irc`, `run_imc`, `run_csd`, the grid
-sampler, the unaligned preference lists, the audit's domination-witness
-search, the census's Pareto scan, the `Market` constructor's lookup tables
-and `validate_market` to reference copies of their original loops, and
+The differential tests hold all six mechanisms (`run_irc`, `run_imc`,
+`run_idc`, `run_iuc`, `run_rsd`, `run_csd`), the grid sampler, the
+unaligned preference lists, the audit's domination-witness search, the
+census's Pareto scan, the `Market` constructor's lookup tables and
+`validate_market` to reference copies of their original loops, and
 `dumps_market` to the `json.dumps` writer it replaced: same inputs, same
-seeds, equal outputs. The references draw from
-numpy's `Generator` and run on frozen copies of the engine and of the
-audit's per-contract checks, kept in this file, so that a rewrite of the
-live helpers is checked, not followed.
+seeds, equal outputs. The references draw from numpy's `Generator` and run
+on frozen copies of the engine and of the audit's per-contract checks, kept
+in this file, so that a rewrite of the live helpers is checked, not
+followed.
 """
 
 from __future__ import annotations
@@ -45,8 +47,11 @@ from capmatch import (
     load_fixture,
     run_csd,
     run_experiment,
+    run_idc,
     run_imc,
     run_irc,
+    run_iuc,
+    run_rsd,
     validate_market,
 )
 from capmatch import oracle
@@ -456,6 +461,31 @@ def test_golden_market_digest_at_n_2000():
     assert sha256(text) == DICTATORS_MARKET_GOLDEN
 
 
+# the market shapes with college quotas split at random, under a college
+# budget of |S| and of 2|S|, in an unaligned and an aligned regime
+RANDOM_SPLIT_MARKET_GOLDEN = (
+    "cef004e178c1676d1ac436750f4a8b89a31e580fa0573cbc257b84b9fa710105"
+)
+
+
+def test_golden_market_digest_with_a_random_quota_split():
+    h = hashlib.sha256()
+    for (n, c, r, scheme), balance, alignment in itertools.product(
+        MARKET_SHAPES, ("balanced", "up"), ("none", "student_full")
+    ):
+        cfg = GenConfig(
+            n_students=n,
+            n_colleges=c,
+            n_resources=r,
+            alignment=alignment,
+            college_balance=balance,
+            region_scheme=scheme,
+            quota_split_scheme="random",
+        )
+        h.update(dumps_market(generate_market(cfg, seed=2025)).encode())
+    assert h.hexdigest() == RANDOM_SPLIT_MARKET_GOLDEN
+
+
 def reference_irc(m, seed=None) -> RunTrace:
     """run_irc as first written: the candidate list rebuilt on every draw."""
     rng = np.random.default_rng(seed)
@@ -516,6 +546,69 @@ def reference_imc(m, seed=None) -> RunTrace:
         if not changed:
             break
     return eng.finish("imc", seed)
+
+
+def reference_idc(m, seed=None) -> RunTrace:
+    """run_idc as first written, drawing from numpy's Generator."""
+    rng = np.random.default_rng(seed)
+    eng = RefEngine(m)
+    n = m.n_students
+    entries = [
+        (c, r) for c in range(m.n_colleges) for r in range(m.n_resources + 1)
+    ]
+    while True:
+        changed = False
+        for idx in rng.permutation(len(entries)):
+            c, r = entries[int(idx)]
+            while eng.K[c][r] < n and eng.try_raise(c, ref_coupled(eng.K[c], r)):
+                changed = True
+        if not changed:
+            break
+    return eng.finish("idc", seed)
+
+
+def reference_iuc(m, seed=None) -> RunTrace:
+    """run_iuc as first written, drawing from numpy's Generator."""
+    rng = np.random.default_rng(seed)
+    eng = RefEngine(m)
+    n = m.n_students
+    all_rs = tuple(range(m.n_resources + 1))
+    while True:
+        changed = False
+        for ci in rng.permutation(m.n_colleges):
+            c = int(ci)
+            if eng.K[c][EMPTY_RESOURCE] < n and eng.try_raise(c, all_rs):
+                changed = True
+        if not changed:
+            break
+    return eng.finish("iuc", seed)
+
+
+def reference_rsd(m, seed=None) -> RunTrace:
+    """run_rsd as first written: the order drawn from numpy's Generator, the
+    capacity test written out."""
+    rng = np.random.default_rng(seed)
+    order = [int(s) for s in rng.permutation(m.n_students)]
+    ccount = [0] * m.n_colleges
+    rcount = [0] * (m.n_resources + 1)
+    granted: list[Contract] = []
+    for s in order:
+        for c, r in m.preferences[s]:
+            if ccount[c] < m.college_quotas[c] and (
+                r == EMPTY_RESOURCE
+                or (c in m.regions[r - 1] and rcount[r] < m.resource_quotas[r - 1])
+            ):
+                granted.append(Contract(s, c, r))
+                ccount[c] += 1
+                rcount[r] += 1
+                break
+    return RunTrace(
+        mechanism="rsd",
+        seed=seed,
+        moves=tuple(granted),
+        matching=Matching(granted),
+        order=tuple(order),
+    )
 
 
 def reference_csd(m, seed=None) -> RunTrace:
@@ -596,7 +689,14 @@ def differential_markets():
 
 @pytest.mark.parametrize(
     "mechanism, reference",
-    [(run_irc, reference_irc), (run_imc, reference_imc), (run_csd, reference_csd)],
+    [
+        (run_irc, reference_irc),
+        (run_imc, reference_imc),
+        (run_idc, reference_idc),
+        (run_iuc, reference_iuc),
+        (run_rsd, reference_rsd),
+        (run_csd, reference_csd),
+    ],
 )
 def test_traces_match_the_rescanning_reference(mechanism, reference):
     checked = 0
