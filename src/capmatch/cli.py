@@ -52,20 +52,23 @@ def _load_config(path: str, seed_override) -> ExperimentConfig:
 def cmd_generate(args) -> int:
     config = _load_config(args.config, args.seed)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+
+    def write(name: str, text: str) -> None:
+        # made at the first write: a config that makes no market leaves none
+        out.mkdir(parents=True, exist_ok=True)
+        (out / name).write_text(text)
+
     seeds = []
     for i in range(config.replicas):
         market, seed = replica_market(config, i)
         seeds.append(seed)
-        (out / f"market_{i:04d}.json").write_text(dumps_market(market))
+        write(f"market_{i:04d}.json", dumps_market(market))
     manifest = {
         "digest": config.digest(),
         "config": config.to_dict(),
         "market_seeds": seeds,
     }
-    (out / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n"
-    )
+    write("manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     print(f"wrote {config.replicas} markets and manifest.json to {out}")
     return 0
 

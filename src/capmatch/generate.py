@@ -39,7 +39,7 @@ from __future__ import annotations
 import bisect
 import functools
 import itertools
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -58,6 +58,17 @@ BALANCES = ("balanced", "up", "down")
 QUOTA_SPLITS = ("equal", "random")
 TRUNCATIONS = ("uniform", "none")
 SEMI_SAMPLERS = ("quality", "uniform")
+
+# GenConfig's fields that name one of a fixed set of values, checked in
+# field order
+_CHOICES = {
+    "alignment": ALIGNMENTS,
+    "college_balance": BALANCES,
+    "resource_balance": BALANCES,
+    "quota_split_scheme": QUOTA_SPLITS,
+    "truncation": TRUNCATIONS,
+    "semi_sampler": SEMI_SAMPLERS,
+}
 
 
 def check_config_keys(d, cls, what: str) -> None:
@@ -116,34 +127,17 @@ class GenConfig:
         shape = ("n_students", "n_colleges", "n_resources")
         _require_type("market", self, shape, int)
         _require_type("market", self, ("seed",), int, optional=True)
-        _require_type(
-            "market",
-            self,
-            (
-                "alignment",
-                "college_balance",
-                "resource_balance",
-                "region_scheme",
-                "quota_split_scheme",
-                "truncation",
-                "semi_sampler",
-            ),
-            str,
-        )
-        if self.alignment not in ALIGNMENTS:
-            raise ValueError(f"unknown alignment {self.alignment!r}")
-        if self.college_balance not in BALANCES:
-            raise ValueError(f"unknown college_balance {self.college_balance!r}")
-        if self.resource_balance not in BALANCES:
-            raise ValueError(f"unknown resource_balance {self.resource_balance!r}")
-        if self.quota_split_scheme not in QUOTA_SPLITS:
-            raise ValueError(
-                f"unknown quota_split_scheme {self.quota_split_scheme!r}"
-            )
-        if self.truncation not in TRUNCATIONS:
-            raise ValueError(f"unknown truncation {self.truncation!r}")
-        if self.semi_sampler not in SEMI_SAMPLERS:
-            raise ValueError(f"unknown semi_sampler {self.semi_sampler!r}")
+        # the choice fields and region_scheme are strings, checked in field order
+        text = [
+            f.name
+            for f in fields(self)
+            if f.name in _CHOICES or f.name == "region_scheme"
+        ]
+        _require_type("market", self, text, str)
+        for name, allowed in _CHOICES.items():
+            value = getattr(self, name)
+            if value not in allowed:
+                raise ValueError(f"unknown {name} {value!r}")
         if self.region_scheme != "all" and self.region_scheme != "partition":
             if not self.region_scheme.startswith("random:"):
                 raise ValueError(f"unknown region_scheme {self.region_scheme!r}")
@@ -192,8 +186,7 @@ def _college_quotas(cfg: GenConfig, rng) -> list[int]:
         return [base + (1 if i < rem else 0) for i in range(c)]
     # uniform random composition of `total` into c parts >= 1 (stars and bars)
     cuts = np.sort(rng.choice(total - 1, size=c - 1, replace=False)) + 1
-    bounds = np.concatenate(([0], cuts, [total]))
-    return [int(b - a) for a, b in zip(bounds[:-1], bounds[1:])]
+    return np.diff(np.concatenate(([0], cuts, [total]))).tolist()
 
 
 def _regions(cfg: GenConfig, rng) -> list[list[int]]:
@@ -203,16 +196,12 @@ def _regions(cfg: GenConfig, rng) -> list[list[int]]:
     if cfg.region_scheme == "partition":
         if r > c:
             raise ValueError("cannot partition fewer colleges than resources")
-        shuffled = [int(x) for x in rng.permutation(c)]
-        chunks = np.array_split(shuffled, r) if r else []
-        return [sorted(int(x) for x in chunk) for chunk in chunks]
+        chunks = np.array_split(rng.permutation(c), r) if r else []
+        return [sorted(chunk.tolist()) for chunk in chunks]
     k = int(cfg.region_scheme.split(":", 1)[1])
     if not (1 <= k <= c):
         raise ValueError(f"region size {k} out of range 1..{c}")
-    return [
-        sorted(int(x) for x in rng.choice(c, size=k, replace=False))
-        for _ in range(r)
-    ]
+    return [sorted(rng.choice(c, size=k, replace=False).tolist()) for _ in range(r)]
 
 
 def _priorities(cfg: GenConfig, rng) -> list[list[int]]:
@@ -220,7 +209,7 @@ def _priorities(cfg: GenConfig, rng) -> list[list[int]]:
     if cfg.alignment in ("college_full", "student_and_college_full"):
         common = list(range(n - 1, -1, -1))  # higher id = better
         return [list(common) for _ in range(c)]
-    return [[int(s) for s in rng.permutation(n)] for _ in range(c)]
+    return [rng.permutation(n).tolist() for _ in range(c)]
 
 
 @functools.lru_cache(maxsize=64)
@@ -352,8 +341,3 @@ def generate_market(cfg: GenConfig, seed: Optional[int] = None) -> Market:
         priorities=priorities,
         preferences=preferences,
     )
-
-
-def scaled(cfg: GenConfig, **overrides) -> GenConfig:
-    """Convenience: a copy of cfg with fields replaced."""
-    return replace(cfg, **overrides)

@@ -18,13 +18,10 @@ better, delta-check feasibility, revert the raise if the move breaks it.
 irc keeps its drawable entries as a sorted index list, so a draw costs one
 index and a bisect instead of a scan of every entry.
 
-irc and imc make thousands of draws of one small number per run. They draw
-from `_draws.Draws(seed)`, a pure-Python replica of the `integers` and
-`permutation` of `np.random.default_rng(seed)` that reads PCG64's raw words
-and skips numpy's per-call overhead. imc reads each (entries, size) subset
-list from a bounded cache instead of rebuilding it per visit. idc, iuc, rsd
-and csd draw through numpy's `Generator`: their calls are few, and its C
-shuffle beats Python on their longer permutations.
+imc, idc and iuc share one pass loop: a random order over their colleges or
+entries, visited in full, repeated until a pass changes nothing. imc reads
+each (entries, size) subset list from a bounded cache instead of rebuilding
+it per visit.
 
 rsd lets students pick their favorite still-feasible contract in a random
 order. csd repeatedly grants, among all unmatched students' current favorite
@@ -34,9 +31,13 @@ whose college or resource a grant fills, so a run costs about as much as
 walking every preference list once plus a heap operation per grant and per
 re-seat, not a scan of every unmatched student per grant.
 
-irc, imc and csd draw exactly as their first loops did, with the same bounds,
-the same elements and the same numbers, so their seeded traces equal those
-of the reference copies kept in tests/test_golden.py.
+All six draw from `_draws.Draws(seed)`, a pure-Python replica of the
+`integers` and `permutation` of numpy's `Generator` on the same seed. It
+reads PCG64's raw words, which numpy's compatibility policy (NEP 19) keeps
+fixed, and skips numpy's per-call overhead. Each mechanism draws exactly as
+its first loop did on the `Generator`, with the same bounds, the same
+elements and the same numbers, so its seeded traces equal those of the
+reference copies kept in tests/test_golden.py.
 """
 
 from __future__ import annotations
@@ -47,9 +48,7 @@ from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import Callable, Optional, Sequence
 
 from ._draws import Draws
 from .cutoffs import CutoffProfile, coupled_entries, induced_matching
@@ -230,20 +229,22 @@ def _imc_college_step(eng: _Engine, c: int, draws: Draws) -> bool:
     values = sorted({val for val in row if val < n})
     for v in values:
         members = tuple(r for r in range(len(row)) if row[r] == v)
-        if EMPTY_RESOURCE in members:
-            base = members[1:]  # EMPTY_RESOURCE is entry 0
-            for size in range(len(base) + 1, 0, -1):
-                combos = _subsets(base, size - 1)
-                for i in draws.permutation(len(combos)):
-                    if eng.try_raise(c, (EMPTY_RESOURCE,) + combos[i]):
-                        return True
-        else:
-            for size in range(len(members), 0, -1):
-                combos = _subsets(members, size)
-                for i in draws.permutation(len(combos)):
-                    if eng.try_raise(c, combos[i]):
-                        return True
+        # EMPTY_RESOURCE is entry 0, so it leads members when it is one
+        fixed = (EMPTY_RESOURCE,) if row[EMPTY_RESOURCE] == v else ()
+        free = members[len(fixed):]
+        for size in range(len(members), 0, -1):
+            combos = _subsets(free, size - len(fixed))
+            for i in draws.permutation(len(combos)):
+                if eng.try_raise(c, fixed + combos[i]):
+                    return True
     return False
+
+
+def _passes(draws: Draws, k: int, step: Callable[[int], bool]) -> None:
+    """Run step over random orders of range(k) until a pass changes nothing.
+    Each pass runs in full: the draws of its later steps are in the trace."""
+    while any([step(i) for i in draws.permutation(k)]):
+        pass
 
 
 def run_imc(m: Market, seed: Optional[int] = None) -> RunTrace:
@@ -251,33 +252,26 @@ def run_imc(m: Market, seed: Optional[int] = None) -> RunTrace:
     _require_runnable(m)
     draws = Draws(seed)
     eng = _Engine(m)
-    while True:
-        changed = False
-        for c in draws.permutation(m.n_colleges):
-            if _imc_college_step(eng, c, draws):
-                changed = True
-        if not changed:
-            break
+    _passes(draws, m.n_colleges, lambda c: _imc_college_step(eng, c, draws))
     return eng.finish("imc", seed)
 
 
 def run_idc(m: Market, seed: Optional[int] = None) -> RunTrace:
     """Entries in random order, each pushed as far as it can go."""
     _require_runnable(m)
-    rng = np.random.default_rng(seed)
     eng = _Engine(m)
     n = m.n_students
-    entries = [
-        (c, r) for c in range(m.n_colleges) for r in range(m.n_resources + 1)
-    ]
-    while True:
+    width = m.n_resources + 1
+
+    def push(i: int) -> bool:
+        c, r = divmod(i, width)
+        row = eng.K[c]
         changed = False
-        for idx in rng.permutation(len(entries)):
-            c, r = entries[int(idx)]
-            while eng.K[c][r] < n and eng.try_raise(c, coupled_entries(eng.K[c], r)):
-                changed = True
-        if not changed:
-            break
+        while row[r] < n and eng.try_raise(c, coupled_entries(row, r)):
+            changed = True
+        return changed
+
+    _passes(Draws(seed), m.n_colleges * width, push)
     return eng.finish("idc", seed)
 
 
@@ -289,18 +283,14 @@ def run_iuc(m: Market, seed: Optional[int] = None) -> RunTrace:
     no resource-kind waste blocks regardless of where the scalars get stuck.
     """
     _require_runnable(m)
-    rng = np.random.default_rng(seed)
     eng = _Engine(m)
     n = m.n_students
     all_rs = tuple(range(m.n_resources + 1))
-    while True:
-        changed = False
-        for ci in rng.permutation(m.n_colleges):
-            c = int(ci)
-            if eng.K[c][EMPTY_RESOURCE] < n and eng.try_raise(c, all_rs):
-                changed = True
-        if not changed:
-            break
+    _passes(
+        Draws(seed),
+        m.n_colleges,
+        lambda c: eng.K[c][EMPTY_RESOURCE] < n and eng.try_raise(c, all_rs),
+    )
     return eng.finish("iuc", seed)
 
 
@@ -312,8 +302,7 @@ def run_rsd(
     """Students pick greedily in a random (or given) serial order."""
     _require_runnable(m)
     if order is None:
-        rng = np.random.default_rng(seed)
-        order = [int(s) for s in rng.permutation(m.n_students)]
+        order = Draws(seed).permutation(m.n_students)
     else:
         order = [int(s) for s in order]
         if sorted(order) != list(range(m.n_students)):
@@ -360,7 +349,7 @@ def run_csd(m: Market, seed: Optional[int] = None) -> RunTrace:
     grant.
     """
     _require_runnable(m)
-    rng = np.random.default_rng(seed)
+    draws = Draws(seed)
     prefs = m.preferences
     ccount = [0] * m.n_colleges
     rcount = [0] * (m.n_resources + 1)
@@ -410,7 +399,7 @@ def run_csd(m: Market, seed: Optional[int] = None) -> RunTrace:
             entry = heapq.heappop(heap)
             if entry[2] == version[entry[1]]:
                 ties.append(entry)
-        k = int(rng.integers(len(ties)))
+        k = draws.integers(len(ties))
         _, s, _ = ties.pop(k)
         for entry in ties:
             heapq.heappush(heap, entry)

@@ -284,6 +284,20 @@ def test_fewer_than_one_job_is_a_clean_error(tmp_path, config_path, capsys, jobs
     assert not out.exists()
 
 
+def test_generate_leaves_no_directory_when_no_market_can_be_made(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    market = {"n_students": 2, "n_colleges": 5, "n_resources": 1,
+              "college_balance": "down"}
+    path.write_text(json.dumps({"market": market, "replicas": 3}))
+    out = tmp_path / "out"
+    assert main(["generate", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == (
+        "capmatch: error: college budget 1 cannot give 5 colleges a seat each\n"
+    )
+    assert not out.exists()
+
+
 def test_a_config_that_is_not_an_object_is_a_clean_error(tmp_path, capsys):
     path = tmp_path / "config.json"
     for doc in ([1, 2], {"market": 5}):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from capmatch import GenConfig, generate_market, validate_market
-from capmatch.generate import _grid_order, _unaligned_order, scaled
+from capmatch.generate import _CHOICES, _grid_order, _unaligned_order
 from capmatch.market import dumps_market
 
 
@@ -29,10 +29,11 @@ def test_config_round_trip():
     assert GenConfig.from_dict(cfg.to_dict()) == cfg
 
 
-def test_scaled_override():
-    cfg = scaled(GenConfig(), n_students=8, n_colleges=2)
-    assert cfg.n_students == 8 and cfg.n_colleges == 2
-    assert cfg.alignment == GenConfig().alignment
+@pytest.mark.parametrize("field", list(_CHOICES))
+def test_a_bad_choice_names_its_field_and_value(field):
+    with pytest.raises(ValueError) as exc:
+        GenConfig(**{field: "sideways"})
+    assert str(exc.value) == f"unknown {field} 'sideways'"
 
 
 def test_same_seed_same_market():
