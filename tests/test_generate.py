@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from capmatch import GenConfig, generate_market, validate_market
-from capmatch.generate import _CHOICES, _grid_order, _unaligned_order
+from capmatch.generate import _grid_order, _unaligned_order
 from capmatch.market import dumps_market
 
 
@@ -29,7 +29,17 @@ def test_config_round_trip():
     assert GenConfig.from_dict(cfg.to_dict()) == cfg
 
 
-@pytest.mark.parametrize("field", list(_CHOICES))
+@pytest.mark.parametrize(
+    "field",
+    (
+        "alignment",
+        "college_balance",
+        "resource_balance",
+        "quota_split_scheme",
+        "truncation",
+        "semi_sampler",
+    ),
+)
 def test_a_bad_choice_names_its_field_and_value(field):
     with pytest.raises(ValueError) as exc:
         GenConfig(**{field: "sideways"})
