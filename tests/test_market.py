@@ -10,6 +10,7 @@ from capmatch import (
     GenConfig,
     Market,
     Matching,
+    audit,
     enumerate_matchings,
     fixture_names,
     generate_market,
@@ -100,8 +101,34 @@ def test_duplicate_pref_entries_keep_first_position():
 
 
 def test_matching_rejects_two_contracts_per_student():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^student 0 holds two contracts$"):
         Matching([Contract(0, 0, 0), Contract(0, 1, 0)])
+    twice = [Contract(3, 0, 0), Contract(3, 1, 0), Contract(1, 1, 0), Contract(1, 0, 1)]
+    with pytest.raises(ValueError, match="^student 1 holds two contracts$"):
+        Matching(twice)
+
+
+@pytest.mark.parametrize(
+    "check", [is_feasible, is_individually_rational, audit],
+    ids=["feasible", "rational", "audit"],
+)
+@pytest.mark.parametrize(
+    "x, message",
+    [
+        (Contract(2, 0, 0), "unknown student id 2"),
+        (Contract(-1, 0, 0), "unknown student id -1"),
+        (Contract(0, 2, 0), "unknown college id 2"),
+        (Contract(0, -1, 0), "unknown college id -1"),
+        (Contract(0, 0, 2), "unknown resource id 2"),
+        (Contract(0, 0, -1), "unknown resource id -1"),
+    ],
+    ids=["student", "negative-student", "college", "negative-college",
+         "resource", "negative-resource"],
+)
+def test_unknown_or_negative_ids_are_refused_by_name(check, x, message):
+    mu = Matching([x, Contract(1, 1, 0)])
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        check(tiny_market(), mu)
 
 
 def test_matching_containers_and_equality():
@@ -117,6 +144,8 @@ def test_matching_containers_and_equality():
     assert mu == Matching([Contract(0, 1, 0), Contract(1, 0, 1)])
     assert hash(mu) == hash(Matching([Contract(0, 1, 0), Contract(1, 0, 1)]))
     assert list(mu) == sorted(mu)
+    # rows read from JSON are converted to contracts
+    assert Matching([[1, 0, 1], (0, 1, 0)]) == mu
 
 
 def test_feasibility_checks_quotas_and_regions():
