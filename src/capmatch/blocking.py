@@ -58,14 +58,17 @@ class _State:
     __slots__ = ("assign", "ccount", "rcount", "roster")
 
     def __init__(self, m: Market, mu: Matching):
-        self.assign: list[Optional[Contract]] = [
-            mu.student_contract(s) for s in range(m.n_students)
-        ]
-        self.ccount = [len(mu.college_contracts(c)) for c in range(m.n_colleges)]
-        self.rcount = [
-            len(mu.resource_contracts(r)) for r in range(m.n_resources + 1)
-        ]
-        self.roster = [list(mu.college_contracts(c)) for c in range(m.n_colleges)]
+        self.assign: list[Optional[Contract]] = [None] * m.n_students
+        self.ccount = [0] * m.n_colleges
+        self.rcount = [0] * (m.n_resources + 1)
+        self.roster: list[list[Contract]] = [[] for _ in range(m.n_colleges)]
+        # mu iterates in sorted order, so each roster is in student order
+        for x in mu:
+            s, c, r = x
+            self.assign[s] = x
+            self.ccount[c] += 1
+            self.rcount[r] += 1
+            self.roster[c].append(x)
 
 
 def _waste_class(m: Market, st: _State, x: Contract) -> Optional[str]:

@@ -18,7 +18,8 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .market import EMPTY_RESOURCE, Contract, Market, Matching
+from .blocking import audit
+from .market import EMPTY_RESOURCE, Contract, Market, Matching, is_feasible
 
 
 class CutoffProfile:
@@ -139,8 +140,6 @@ def increment(m: Market, k: CutoffProfile, c: int, r: int) -> CutoffProfile:
 
 def is_optimal(m: Market, k: CutoffProfile) -> bool:
     """Feasible induced matching and no feasibility-preserving increment."""
-    from .market import is_feasible
-
     if not is_feasible(m, induced_matching(m, k)):
         return False
     for (c, r) in k.entries():
@@ -162,8 +161,6 @@ def cutoffs_of(m: Market, mu: Matching) -> CutoffProfile:
     Raises:
         ValueError: mu is not direct-envy stable for m.
     """
-    from .blocking import audit
-
     if not audit(m, mu).direct_envy_stable:
         raise ValueError("cutoffs_of needs a direct-envy stable matching")
 

@@ -14,7 +14,7 @@ import hashlib
 import io
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -89,18 +89,16 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
-        """Raises ValueError on a non-object or an unknown key."""
+        """Raises ValueError on a non-object, an unknown key or no 'market'.
+
+        Keys left out take the dataclass defaults."""
         check_config_keys(d, ExperimentConfig, "experiment")
-        mechanisms = d.get("mechanisms", MECHANISM_ORDER)
-        if isinstance(mechanisms, list):  # anything else __post_init__ refuses
-            mechanisms = tuple(mechanisms)
-        return ExperimentConfig(
-            market=GenConfig.from_dict(d["market"]),
-            replicas=d.get("replicas", 100),
-            mechanisms=mechanisms,
-            master_seed=d.get("master_seed", 0),
-            name=d.get("name", "experiment"),
-        )
+        if "market" not in d:
+            raise ValueError("experiment config lacks key 'market'")
+        kwargs = dict(d, market=GenConfig.from_dict(d["market"]))
+        if isinstance(d.get("mechanisms"), list):  # anything else __post_init__ refuses
+            kwargs["mechanisms"] = tuple(d["mechanisms"])
+        return ExperimentConfig(**kwargs)
 
     def digest(self) -> str:
         text = json.dumps(self.to_dict(), sort_keys=True)
@@ -308,6 +306,53 @@ def results_to_json(config: ExperimentConfig, results: list[RunResult]) -> str:
 
 
 def results_from_json(text: str) -> tuple[ExperimentConfig, list[RunResult]]:
+    """Read results_to_json's text back.
+
+    Raises:
+        ValueError: the text is not such a document; the message names the
+            first bad key, and the row it sits in.
+    """
     doc = json.loads(text)
-    config = ExperimentConfig.from_dict(doc["config"])
+    if not isinstance(doc, dict) or not isinstance(doc.get("results"), list):
+        raise ValueError("results key 'results' must be a list of runs")
+    config = ExperimentConfig.from_dict(doc.get("config"))
+    for i, row in enumerate(doc["results"]):
+        _check_result_row(i, row)
     return config, [RunResult.from_dict(d) for d in doc["results"]]
+
+
+def _check_result_row(i: int, row) -> None:
+    """Raise ValueError naming row i and its first key that RunResult.to_dict
+    would not have written."""
+    where = f"results row {i}"
+    _require_keys(where, row, [f.name for f in fields(RunResult)])
+    if row["mechanism"] not in MECHANISM_ORDER:
+        raise ValueError(
+            f"{where} key 'mechanism' names unknown mechanism {row['mechanism']!r}"
+        )
+    if not isinstance(row["alignment"], str):
+        raise ValueError(f"{where} key 'alignment' must be a string")
+    counts = row["counts"]
+    _require_keys(f"{where} key 'counts'", counts, BLOCK_CATEGORIES)
+    for key, value in [*counts.items(), ("total", row["total"])]:
+        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+            raise ValueError(
+                f"{where} key {key!r} must be a non-negative int, not {value!r}"
+            )
+    if row["total"] != sum(counts.values()):
+        raise ValueError(
+            f"{where} key 'total' is {row['total']}, but its counts sum to "
+            f"{sum(counts.values())}"
+        )
+
+
+def _require_keys(where: str, d, keys) -> None:
+    """Raise ValueError unless d is an object with exactly the given keys."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{where} must be an object")
+    for key in keys:
+        if key not in d:
+            raise ValueError(f"{where} lacks key {key!r}")
+    for key in d:
+        if key not in keys:
+            raise ValueError(f"{where} has unknown key {key!r}")

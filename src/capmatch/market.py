@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from itertools import chain, compress, repeat
-from operator import lt
+from operator import le, lt
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 EMPTY_RESOURCE = 0
@@ -234,55 +234,36 @@ def prefers(m: Market, s: int, a: Optional[Pair], b: Optional[Pair]) -> bool:
 class Matching:
     """Immutable set of contracts with at most one contract per student.
 
-    Lookup maps are precomputed: per-student contract, per-college contract
-    tuple, per-resource contract tuple, plus count dicts used by feasibility
-    checks. Equality and hashing go through the contract frozenset.
+    contracts is the public frozenset; equality and hashing go through it.
+    The contracts are also kept as one sorted tuple, which iteration and
+    len() read, and by student. Per-college and per-resource counts are
+    counted by their readers (is_feasible, the audit) in one pass over the
+    sorted contracts.
     """
 
-    __slots__ = (
-        "contracts",
-        "_by_student",
-        "_by_college",
-        "_by_resource",
-        "college_counts",
-        "resource_counts",
-    )
+    __slots__ = ("contracts", "_items", "_by_student")
 
     def __init__(self, contracts: Iterable[Contract] = ()):
-        items = sorted(Contract(*x) for x in contracts)
-        by_student: dict[int, Contract] = {}
-        by_college: dict[int, list[Contract]] = {}
-        by_resource: dict[int, list[Contract]] = {}
-        for x in items:
-            if x.student in by_student:
-                raise ValueError(f"student {x.student} holds two contracts")
-            by_student[x.student] = x
-            by_college.setdefault(x.college, []).append(x)
-            by_resource.setdefault(x.resource, []).append(x)
+        items = tuple(sorted(Contract(*x) for x in contracts))
+        by_student = {x.student: x for x in items}
+        if len(by_student) < len(items):
+            s = next(a.student for a, b in zip(items, items[1:]) if a.student == b.student)
+            raise ValueError(f"student {s} holds two contracts")
         self.contracts: frozenset[Contract] = frozenset(items)
+        self._items = items
         self._by_student = by_student
-        self._by_college = {c: tuple(v) for c, v in by_college.items()}
-        self._by_resource = {r: tuple(v) for r, v in by_resource.items()}
-        self.college_counts = {c: len(v) for c, v in self._by_college.items()}
-        self.resource_counts = {r: len(v) for r, v in self._by_resource.items()}
 
     def student_contract(self, s: int) -> Optional[Contract]:
         return self._by_student.get(s)
-
-    def college_contracts(self, c: int) -> tuple[Contract, ...]:
-        return self._by_college.get(c, ())
-
-    def resource_contracts(self, r: int) -> tuple[Contract, ...]:
-        return self._by_resource.get(r, ())
 
     def __contains__(self, x) -> bool:
         return x in self.contracts
 
     def __iter__(self):
-        return iter(sorted(self.contracts))
+        return iter(self._items)
 
     def __len__(self):
-        return len(self.contracts)
+        return len(self._items)
 
     def __eq__(self, other):
         if not isinstance(other, Matching):
@@ -298,13 +279,13 @@ class Matching:
 
 
 def _check_ids(m: Market, mu: Matching) -> None:
-    for x in mu.contracts:
-        if not (0 <= x.student < m.n_students):
-            raise ValueError(f"unknown student id {x.student}")
-        if not (0 <= x.college < m.n_colleges):
-            raise ValueError(f"unknown college id {x.college}")
-        if not (0 <= x.resource <= m.n_resources):
-            raise ValueError(f"unknown resource id {x.resource}")
+    for s, c, r in mu:
+        if not (0 <= s < m.n_students):
+            raise ValueError(f"unknown student id {s}")
+        if not (0 <= c < m.n_colleges):
+            raise ValueError(f"unknown college id {c}")
+        if not (0 <= r <= m.n_resources):
+            raise ValueError(f"unknown resource id {r}")
 
 
 def is_feasible(m: Market, mu: Matching) -> bool:
@@ -314,19 +295,17 @@ def is_feasible(m: Market, mu: Matching) -> bool:
     appears at most quota(r) times and only at colleges inside its region.
     The empty resource is never constrained. Acceptability plays no role here.
     """
-    _check_ids(m, mu)
-    for c, cnt in mu.college_counts.items():
-        if cnt > m.college_quotas[c]:
+    _check_ids(m, mu)  # a negative id would index the counts from the end
+    ccount = [0] * m.n_colleges
+    rcount = [0] * (m.n_resources + 1)
+    for _s, c, r in mu:
+        if r != EMPTY_RESOURCE and c not in m.regions[r - 1]:
             return False
-    for r, cnt in mu.resource_counts.items():
-        if r == EMPTY_RESOURCE:
-            continue
-        if cnt > m.resource_quota(r):
-            return False
-        for x in mu.resource_contracts(r):
-            if x.college not in m.region(r):
-                return False
-    return True
+        ccount[c] += 1
+        rcount[r] += 1
+    return all(map(le, ccount, m.college_quotas)) and all(
+        map(le, rcount[1:], m.resource_quotas)
+    )
 
 
 def fits(

@@ -74,6 +74,53 @@ def test_run_then_table(tmp_path, config_path, capsys):
     assert (out / "table.txt").read_text() == printed
 
 
+def row_1(doc):
+    return doc["results"][1]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: row_1(doc)["counts"].update(seat="3"),
+         "results row 1 key 'seat' must be a non-negative int, not '3'"),
+        (lambda doc: row_1(doc)["counts"].update(seat=True),
+         "results row 1 key 'seat' must be a non-negative int, not True"),
+        (lambda doc: row_1(doc)["counts"].update(seat=-1),
+         "results row 1 key 'seat' must be a non-negative int, not -1"),
+        (lambda doc: row_1(doc)["counts"].pop("seat"),
+         "results row 1 key 'counts' lacks key 'seat'"),
+        (lambda doc: row_1(doc)["counts"].update(waste=0),
+         "results row 1 key 'counts' has unknown key 'waste'"),
+        (lambda doc: row_1(doc).update(mechanism="xyz"),
+         "results row 1 key 'mechanism' names unknown mechanism 'xyz'"),
+        (lambda doc: row_1(doc).pop("alignment"),
+         "results row 1 lacks key 'alignment'"),
+        (lambda doc: row_1(doc).update(total=10**6),
+         "results row 1 key 'total' is 1000000, but its counts sum to "),
+        (lambda doc: doc["results"].__setitem__(1, 5),
+         "results row 1 must be an object"),
+        (lambda doc: doc.update(results={}),
+         "results key 'results' must be a list of runs"),
+    ],
+    ids=["string-count", "bool-count", "negative-count", "missing-count",
+         "unknown-count", "unknown-mechanism", "missing-key", "wrong-total",
+         "row-not-an-object", "results-not-a-list"],
+)
+def test_table_refuses_a_malformed_results_file(
+    tmp_path, config_path, capsys, edit, message
+):
+    out = tmp_path / "exp"
+    assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0
+    path = out / "results.json"
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert main(["table", "--results", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"capmatch: error: {message}")
+    assert not (out / "table.txt").exists()
+
+
 def test_pipeline_is_byte_stable(tmp_path, config_path):
     for sub in ("a", "b"):
         base = tmp_path / sub
@@ -304,6 +351,16 @@ def test_a_config_that_is_not_an_object_is_a_clean_error(tmp_path, capsys):
         path.write_text(json.dumps(doc))
         assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 1
         assert "must be an object" in capsys.readouterr().err
+
+
+def test_a_config_without_a_market_is_a_clean_error(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"replicas": 2}))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "capmatch: error: experiment config lacks key 'market'\n"
+    assert not out.exists()
 
 
 def test_missing_config_is_a_clean_error(tmp_path, capsys):

@@ -55,6 +55,8 @@ def test_experiment_config_validation():
     assert run_experiment(ExperimentConfig(market=TINY, replicas=0)) == []
     cfg = ExperimentConfig(market=TINY, replicas=2)
     assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+    # keys left out take the dataclass defaults
+    assert ExperimentConfig.from_dict({"market": {}}) == ExperimentConfig(GenConfig())
 
 
 def test_config_digest_tracks_content():

@@ -270,11 +270,15 @@ def ref_coupled(row, r):
 class RefState:
     def __init__(self, m, mu):
         self.assign = [mu.student_contract(s) for s in range(m.n_students)]
-        self.ccount = [len(mu.college_contracts(c)) for c in range(m.n_colleges)]
-        self.rcount = [
-            len(mu.resource_contracts(r)) for r in range(m.n_resources + 1)
+        self.roster = [
+            [x for x in sorted(mu.contracts) if x.college == c]
+            for c in range(m.n_colleges)
         ]
-        self.roster = [list(mu.college_contracts(c)) for c in range(m.n_colleges)]
+        self.ccount = [len(roster) for roster in self.roster]
+        self.rcount = [
+            sum(x.resource == r for x in mu.contracts)
+            for r in range(m.n_resources + 1)
+        ]
 
 
 def ref_waste_class(m, st, x):
