@@ -235,10 +235,10 @@ class Matching:
     """Immutable set of contracts with at most one contract per student.
 
     contracts is the public frozenset; equality and hashing go through it.
-    The contracts are also kept as one sorted tuple, which iteration and
-    len() read, and by student. Per-college and per-resource counts are
-    counted by their readers (is_feasible, the audit) in one pass over the
-    sorted contracts.
+    The matching also keeps the contracts as one sorted tuple, which
+    iteration and len() read, and a per-student lookup. It keeps no
+    per-college or per-resource data: is_feasible and the audit count
+    their own in one pass over the sorted contracts.
     """
 
     __slots__ = ("contracts", "_items", "_by_student")
@@ -247,7 +247,10 @@ class Matching:
         items = tuple(sorted(Contract(*x) for x in contracts))
         by_student = {x.student: x for x in items}
         if len(by_student) < len(items):
-            s = next(a.student for a, b in zip(items, items[1:]) if a.student == b.student)
+            # sorted, so the first repeat is the lowest such student
+            s = next(
+                a.student for a, b in zip(items, items[1:]) if a.student == b.student
+            )
             raise ValueError(f"student {s} holds two contracts")
         self.contracts: frozenset[Contract] = frozenset(items)
         self._items = items
