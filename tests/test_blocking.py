@@ -1,5 +1,7 @@
 """Block classification: waste kinds, envy kinds, domination, audits."""
 
+import re
+
 import pytest
 
 from capmatch import (
@@ -7,12 +9,15 @@ from capmatch import (
     Market,
     Matching,
     audit,
+    enumerate_matchings,
     envy_victims,
+    fixture_names,
     is_direct_envy_blocking,
     is_dominated,
     is_envy_blocking,
     is_waste_blocking,
     load_fixture,
+    prefers,
     waste_block_class,
 )
 from capmatch.blocking import BLOCK_CATEGORIES, RESOURCE, SEAT
@@ -177,21 +182,120 @@ def test_undominated_waste_block():
     assert is_dominated(m, mu, x) == (False, None)
 
 
+CONTRACT_CHECKS = (
+    envy_victims,
+    is_envy_blocking,
+    is_direct_envy_blocking,
+    waste_block_class,
+    is_waste_blocking,
+    is_dominated,
+)
+
+
 def test_preconditions_raise():
+    """Every public check refuses a bad matching before it looks at x, and
+    names the first fault it finds."""
     m = load_fixture("example1")
-    infeasible = Matching([Contract(0, 0, 1), Contract(1, 1, 1)])
-    with pytest.raises(ValueError):
-        audit(m, infeasible)
-    irrational = Matching([Contract(0, 0, 0)])  # (0, 0) not on s0's list
-    with pytest.raises(ValueError):
-        audit(m, irrational)
+    fine = Contract(0, 0, 1)  # acceptable, and a waste block of the empty matching
+    bad_matchings = [
+        (Matching([Contract(5, 0, 1)]), "unknown student id 5"),
+        (Matching([Contract(0, 2, 1)]), "unknown college id 2"),
+        (Matching([Contract(0, 0, 2)]), "unknown resource id 2"),
+        (Matching([Contract(0, 0, 1), Contract(1, 1, 1)]), "matching is not feasible"),
+        # (0, 0) is not on s0's list
+        (Matching([Contract(0, 0, 0)]), "matching is not individually rational"),
+    ]
+    for mu, message in bad_matchings:
+        with _raises(message):
+            audit(m, mu)
+        for check in CONTRACT_CHECKS:
+            # the matching is checked first, even when x is bad too
+            for x in (fine, Contract(9, 0, 1)):
+                with _raises(message):
+                    check(m, mu, x)
+
     mu = Matching([Contract(1, 0, 1)])
-    with pytest.raises(ValueError):
-        is_envy_blocking(m, mu, Contract(1, 0, 1))  # already matched
-    with pytest.raises(ValueError):
-        is_waste_blocking(m, mu, Contract(0, 0, 0))  # unacceptable pair
-    with pytest.raises(ValueError):
-        is_dominated(m, mu, Contract(0, 1, 1))  # not a waste block (envy-free add)
+    bad_contracts = [
+        (Contract(2, 0, 1), "references unknown ids"),
+        (Contract(-1, 0, 1), "references unknown ids"),
+        (Contract(0, 2, 1), "references unknown ids"),
+        (Contract(0, -1, 1), "references unknown ids"),
+        (Contract(0, 0, 2), "references unknown resource"),
+        (Contract(0, 0, -1), "references unknown resource"),
+        (Contract(0, 0, 0), "is not acceptable to its student"),
+        (Contract(1, 0, 1), "is already in the matching"),
+    ]
+    for x, tail in bad_contracts:
+        for check in CONTRACT_CHECKS:
+            with _raises(f"contract {x} {tail}"):
+                check(m, mu, x)
+
+    # an acceptable contract that adds no waste: c1 is full under mu
+    x = Contract(0, 1, 1)
+    assert waste_block_class(m, mu, x) is None
+    with _raises(f"contract {x} does not waste-block this matching"):
+        is_dominated(m, mu, x)
+
+
+def _raises(message):
+    return pytest.raises(ValueError, match=f"^{re.escape(message)}$")
+
+
+def test_per_contract_checks_agree_with_the_audit():
+    """On every census matching of every fixture, each acceptable contract
+    outside mu gets from the per-contract checks what audit says of it."""
+    checked = {"waste": 0, "envy": 0, "dominated": 0, "none": 0, "not preferred": 0}
+    for name in fixture_names():
+        m = load_fixture(name)
+        for mu in enumerate_matchings(m):
+            rep = audit(m, mu)
+            waste = dict(rep.waste_witnesses)
+            envy = {x: (victims, direct) for x, victims, direct in rep.envy_witnesses}
+            direct_blocks = {x for x, (_v, direct) in envy.items() if direct}
+            dominated = []
+            for s in range(m.n_students):
+                for c, r in m.preferences[s]:
+                    x = Contract(s, c, r)
+                    if x in mu:
+                        continue
+                    kind = waste_block_class(m, mu, x)
+                    assert kind == waste.get(x), (name, mu, x)
+                    assert is_waste_blocking(m, mu, x) == (x in waste)
+                    victims, direct = envy.get(x, ((), False))
+                    assert envy_victims(m, mu, x) == victims, (name, mu, x)
+                    assert is_envy_blocking(m, mu, x) == bool(victims)
+                    assert is_direct_envy_blocking(m, mu, x) == direct, (name, mu, x)
+                    if not prefers(m, s, (c, r), _pair(mu.student_contract(s))):
+                        assert (kind, victims, direct) == (None, (), False)
+                        checked["not preferred"] += 1
+                    if kind is None:
+                        checked["envy" if victims else "none"] += 1
+                        continue
+                    checked["waste"] += 1
+                    got, witness = is_dominated(m, mu, x)
+                    assert got == (witness is not None)
+                    dominated.append(got)
+                    if got:
+                        checked["dominated"] += 1
+                        _assert_dominates(m, mu, x, witness, waste, direct_blocks)
+            if rep.direct_envy_free:
+                assert rep.direct_envy_stable == all(dominated), (name, mu)
+    assert min(checked.values()) > 0, checked
+
+
+def _pair(x):
+    return None if x is None else (x.college, x.resource)
+
+
+def _assert_dominates(m, mu, x, w, waste, direct_blocks):
+    """w is clean under mu, and direct-envy-blocks mu once x is granted."""
+    assert (w.college, w.resource) == (x.college, x.resource)
+    assert w not in waste and w not in direct_blocks
+    held = _pair(mu.student_contract(w.student))
+    assert prefers(m, w.student, (w.college, w.resource), held)
+    old = mu.student_contract(x.student)
+    granted = Matching([y for y in mu if y != old] + [x])
+    assert is_direct_envy_blocking(m, granted, w)
 
 
 def test_audit_counts_on_a_known_matching():
