@@ -16,6 +16,11 @@ rational matching mu):
   direct-envy-blocking once x is granted. Granting such an x would create a
   new direct complaint, so a cautious clearinghouse can refuse it.
 
+One scan of mu (_scan) walks each student's list down to her assignment and
+classifies every candidate once. audit reads its counts, flags and domination
+step from it, and each per-contract check reads its contract's entry from the
+same scan, so the two agree by construction.
+
 Stability notions audited:
   stable            no envy blocks and no waste blocks
   envy_free         no envy blocks
@@ -31,7 +36,7 @@ Stability notions audited:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 from .market import (
     EMPTY_RESOURCE,
@@ -41,7 +46,6 @@ from .market import (
     Pair,
     fits,
     is_feasible,
-    is_individually_rational,
 )
 
 SEAT = "seat"
@@ -53,7 +57,7 @@ BLOCK_CATEGORIES = (RESOURCE, SEAT, DIRECT_ENVY, INDIRECT_ENVY)
 
 
 class _State:
-    """Mutable snapshot of a matching used by the per-contract checks."""
+    """Mutable snapshot of a matching, as the scan reads it."""
 
     __slots__ = ("assign", "ccount", "rcount", "roster")
 
@@ -71,120 +75,112 @@ class _State:
             self.roster[c].append(x)
 
 
-def _waste_class(m: Market, st: _State, x: Contract) -> Optional[str]:
-    """SEAT/RESOURCE if dropping x.student's contract and adding x stays
-    feasible, else None. Improvement is NOT checked here."""
-    s, c, r = x
-    cur = st.assign[s]
-    at_c = cur is not None and cur.college == c
-    had_r = cur is not None and cur.resource == r
-    if not fits(m, st.ccount, st.rcount, c, r, at_c, had_r):
-        return None
-    return RESOURCE if at_c else SEAT
+def _scan(
+    m: Market, st: _State
+) -> tuple[
+    list[tuple[Contract, str]],
+    list[tuple[Contract, tuple[Contract, ...], bool]],
+    list[Contract],
+]:
+    """Classify every candidate of the matching st holds.
 
+    A candidate is a contract its student strictly prefers to her assignment,
+    so the scan walks each student's list down to her current match. In
+    student order, then list order, it records each candidate x = (s, c, r)
+    that waste-blocks, with its kind; each that envy-blocks, with its victims
+    and whether the envy is direct; and each that is clean: neither
+    waste-blocking nor direct-envy-blocking, at a college that ranks s.
 
-def _envy_victims(m: Market, st: _State, x: Contract) -> list[Contract]:
-    """Victims through which x envy-blocks. Improvement is NOT checked here.
-
-    The swap drops mu_s and the victim y and adds x. Other colleges and
+    The envy swap drops mu_s and the victim y and adds x. Other colleges and
     resources only lose contracts, so it fits exactly when x fits at c once
     both leave, and that depends on y only through whether y holds r. A
     victim who holds r frees a unit of it, so she is one whenever any
     ranked-below y is.
     """
-    s, c, r = x
-    rank_row = m._rank[c]
-    rs = rank_row[s]
-    if rs is None:
-        return []
-    out: list[Contract] = []
-    for y in st.roster[c]:
-        ry = rank_row[y.student]
-        if ry is not None and rs < ry:
-            out.append(y)
-    if not out:
-        return out
-    cur = st.assign[s]
-    c_out = 1 + (cur is not None and cur.college == c)
-    had_r = cur is not None and cur.resource == r
-    if fits(m, st.ccount, st.rcount, c, r, c_out, had_r):
-        return out
-    if fits(m, st.ccount, st.rcount, c, r, c_out, had_r + 1):
-        return [y for y in out if y.resource == r]
-    return []
-
-
-def _has_direct_victim(x: Contract, victims: list[Contract]) -> bool:
-    r = x.resource
-    if r == EMPTY_RESOURCE:
-        return bool(victims)
-    return any(y.resource == r for y in victims)
-
-
-def _improving_positions(m: Market, st: _State, s: int) -> range:
-    """Positions of the pairs s strictly prefers to her assignment under mu."""
-    cur = st.assign[s]
-    limit = m.pref_position(
-        s, (cur.college, cur.resource) if cur is not None else None
-    )
-    return range(min(limit, len(m.preferences[s])))
-
-
-def _clean_candidates(
-    m: Market, st: _State, pairs: set[Pair], blocks_mu: Callable[[Contract], bool]
-) -> dict[Pair, list[tuple[int, int]]]:
-    """The clean candidates for each (college, resource) pair in `pairs`, as
-    (student, rank) rows in student order.
-
-    A candidate is a contract its student prefers to her assignment under mu
-    at a college that ranks her. It is clean when blocks_mu says it neither
-    waste-blocks nor direct-envy-blocks mu.
-    """
-    buckets: dict[Pair, list[tuple[int, int]]] = {pair: [] for pair in pairs}
-    for s in range(m.n_students):
-        prefs = m.preferences[s]
-        for pos in _improving_positions(m, st, s):
-            bucket = buckets.get(prefs[pos])
-            if bucket is not None:
-                c, r = prefs[pos]
-                rs = m._rank[c][s]
-                if rs is not None and not blocks_mu(Contract(s, c, r)):
-                    bucket.append((s, rs))
-    return buckets
+    waste: list[tuple[Contract, str]] = []
+    envy: list[tuple[Contract, tuple[Contract, ...], bool]] = []
+    clean: list[Contract] = []
+    ccount, rcount, roster = st.ccount, st.rcount, st.roster
+    for s, cur in enumerate(st.assign):
+        if cur is None:
+            cur_c = cur_r = -1
+            held = None
+        else:
+            cur_c, cur_r = cur.college, cur.resource
+            held = (cur_c, cur_r)
+        for c, r in m.preferences[s][: m.pref_position(s, held)]:
+            x = Contract(s, c, r)
+            at_c = c == cur_c
+            had_r = r == cur_r
+            wasteful = fits(m, ccount, rcount, c, r, at_c, had_r)
+            if wasteful:
+                waste.append((x, RESOURCE if at_c else SEAT))
+            rank_row = m._rank[c]
+            rs = rank_row[s]
+            if rs is None:
+                continue
+            victims = [
+                y
+                for y in roster[c]
+                if (ry := rank_row[y.student]) is not None and rs < ry
+            ]
+            if victims and not fits(m, ccount, rcount, c, r, 1 + at_c, had_r):
+                if fits(m, ccount, rcount, c, r, 1 + at_c, had_r + 1):
+                    victims = [y for y in victims if y.resource == r]
+                else:
+                    victims = []
+            direct = False
+            if victims:
+                direct = r == EMPTY_RESOURCE or any(y.resource == r for y in victims)
+                envy.append((x, tuple(victims), direct))
+            if not (wasteful or direct):
+                clean.append(x)
+    return waste, envy, clean
 
 
 def _dominating_witness(
-    m: Market, x: Contract, candidates: list[tuple[int, int]]
+    m: Market, x: Contract, candidates: list[Contract]
 ) -> Optional[Contract]:
     """First contract dominating waste block x = (s, c, r), or None.
 
-    candidates are the _clean_candidates for (c, r). A dominating x' =
-    (s', c, r') is clean under mu and direct-envy-blocks mu' (mu with x
-    granted). mu' is feasible, so x' direct-envy-blocks it exactly when c
-    ranks below s' someone at c who holds r' (anyone at c when r' is
+    candidates are the scan's clean contracts at (c, r), in student order. A
+    dominating x' = (s', c, r') is clean under mu and direct-envy-blocks mu'
+    (mu with x granted). mu' is feasible, so x' direct-envy-blocks it exactly
+    when c ranks below s' someone at c who holds r' (anyone at c when r' is
     empty). Clean x' has no such victim under mu, and granting x adds only s
     holding r at c, so r' = r and c ranks s' above s. Then r is not empty:
     a clean (s', c, empty) finds c full, so the waste block x keeps s at c,
     where c ranks her above s' or she would be a victim under mu already.
     """
-    s, c, r = x
-    rs = m._rank[c][s]
+    s, c, _r = x
+    rank_row = m._rank[c]
+    rs = rank_row[s]
     if rs is None:
         return None
-    for s2, rs2 in candidates:
-        if rs2 < rs:
-            return Contract(s2, c, r)
+    for xp in candidates:
+        if rank_row[xp.student] < rs:
+            return xp
     return None
 
 
 def _require_auditable(m: Market, mu: Matching) -> None:
-    if not is_feasible(m, mu):
+    if not is_feasible(m, mu):  # raises on unknown ids first
         raise ValueError("matching is not feasible")
-    if not is_individually_rational(m, mu):
+    if not all(m.acceptable(s, c, r) for s, c, r in mu):
         raise ValueError("matching is not individually rational")
 
 
-def _require_candidate(m: Market, mu: Matching, x: Contract) -> None:
+def _entry(
+    m: Market, mu: Matching, x: Contract
+) -> tuple[Optional[str], tuple[Contract, ...], bool, list[Contract]]:
+    """x's waste kind, envy victims and directness from the scan of mu, and
+    the scan's clean contracts. A contract that is no candidate gets
+    (None, (), False).
+
+    Raises ValueError when mu is infeasible or irrational, or when x is in mu
+    or unacceptable to its student.
+    """
+    _require_auditable(m, mu)
     if not (0 <= x.student < m.n_students and 0 <= x.college < m.n_colleges):
         raise ValueError(f"contract {x} references unknown ids")
     if not (0 <= x.resource <= m.n_resources):
@@ -193,6 +189,10 @@ def _require_candidate(m: Market, mu: Matching, x: Contract) -> None:
         raise ValueError(f"contract {x} is not acceptable to its student")
     if x in mu:
         raise ValueError(f"contract {x} is already in the matching")
+    waste, envy, clean = _scan(m, _State(m, mu))
+    kind = next((k for y, k in waste if y == x), None)
+    victims, direct = next(((v, d) for y, v, d in envy if y == x), ((), False))
+    return kind, victims, direct, clean
 
 
 # -- public per-contract checks ---------------------------------------------
@@ -204,13 +204,8 @@ def envy_victims(m: Market, mu: Matching, x: Contract) -> tuple[Contract, ...]:
     Raises ValueError when mu is infeasible or irrational, or when x is in mu
     or unacceptable to its student.
     """
-    _require_auditable(m, mu)
-    _require_candidate(m, mu, x)
-    st = _State(m, mu)
-    cur = st.assign[x.student]
-    if not _improves(m, x, cur):
-        return ()
-    return tuple(_envy_victims(m, st, x))
+    _kind, victims, _direct, _clean = _entry(m, mu, x)
+    return victims
 
 
 def is_envy_blocking(m: Market, mu: Matching, x: Contract) -> bool:
@@ -218,17 +213,14 @@ def is_envy_blocking(m: Market, mu: Matching, x: Contract) -> bool:
 
 
 def is_direct_envy_blocking(m: Market, mu: Matching, x: Contract) -> bool:
-    return _has_direct_victim(x, list(envy_victims(m, mu, x)))
+    _kind, _victims, direct, _clean = _entry(m, mu, x)
+    return direct
 
 
 def waste_block_class(m: Market, mu: Matching, x: Contract) -> Optional[str]:
     """"seat"/"resource" if x waste-blocks mu, else None."""
-    _require_auditable(m, mu)
-    _require_candidate(m, mu, x)
-    st = _State(m, mu)
-    if not _improves(m, x, st.assign[x.student]):
-        return None
-    return _waste_class(m, st, x)
+    kind, _victims, _direct, _clean = _entry(m, mu, x)
+    return kind
 
 
 def is_waste_blocking(m: Market, mu: Matching, x: Contract) -> bool:
@@ -243,26 +235,14 @@ def is_dominated(
     Raises ValueError when x does not waste-block mu (on top of the usual
     matching preconditions).
     """
-    _require_auditable(m, mu)
-    _require_candidate(m, mu, x)
-    st = _State(m, mu)
-    if not _improves(m, x, st.assign[x.student]) or _waste_class(m, st, x) is None:
+    kind, _victims, _direct, clean = _entry(m, mu, x)
+    if kind is None:
         raise ValueError(f"contract {x} does not waste-block this matching")
-
-    def blocks_mu(xp: Contract) -> bool:
-        if _waste_class(m, st, xp) is not None:
-            return True
-        return _has_direct_victim(xp, _envy_victims(m, st, xp))
-
     pair = (x.college, x.resource)
-    w = _dominating_witness(m, x, _clean_candidates(m, st, {pair}, blocks_mu)[pair])
+    w = _dominating_witness(
+        m, x, [xp for xp in clean if (xp.college, xp.resource) == pair]
+    )
     return (w is not None, w)
-
-
-def _improves(m: Market, x: Contract, cur: Optional[Contract]) -> bool:
-    pair = (x.college, x.resource)
-    cur_pair = (cur.college, cur.resource) if cur is not None else None
-    return m.pref_position(x.student, pair) < m.pref_position(x.student, cur_pair)
 
 
 # -- full audit ---------------------------------------------------------------
@@ -330,78 +310,57 @@ class BlockingReport:
 def audit(m: Market, mu: Matching) -> BlockingReport:
     """Classify every blocking contract of mu and derive the stability flags.
 
-    Only contracts a student strictly prefers to her assignment can block, so
-    the scan walks each student's preference list down to her current match.
-    Witness lists record each blocking contract once (waste witnesses with
-    their kind, envy witnesses with their victims and directness).
+    One scan of mu classifies every candidate (see _scan); the counts, the
+    flags and the domination step all read it. Witness lists record each
+    blocking contract once (waste witnesses with their kind, envy witnesses
+    with their victims and directness).
 
     Raises:
         ValueError: mu is infeasible or not individually rational.
     """
     _require_auditable(m, mu)
     st = _State(m, mu)
+    waste, envy, clean = _scan(m, st)
 
-    counts = {RESOURCE: 0, SEAT: 0, DIRECT_ENVY: 0, INDIRECT_ENVY: 0}
-    waste_witnesses: list[tuple[Contract, str]] = []
-    envy_witnesses: list[tuple[Contract, tuple[Contract, ...], bool]] = []
-    waste_set: set[Contract] = set()
-    any_direct = False
+    n_resource = sum(kind == RESOURCE for _x, kind in waste)
+    n_direct = sum(direct for _x, _victims, direct in envy)
+    counts = {
+        RESOURCE: n_resource,
+        SEAT: len(waste) - n_resource,
+        DIRECT_ENVY: n_direct,
+        INDIRECT_ENVY: len(envy) - n_direct,
+    }
+    weakly_stable = not n_direct and all(
+        x.resource != EMPTY_RESOURCE
+        and st.rcount[x.resource] == m.resource_quotas[x.resource - 1]
+        for x, _kind in waste
+    )
 
-    for s in range(m.n_students):
-        prefs = m.preferences[s]
-        for pos in _improving_positions(m, st, s):
-            c, r = prefs[pos]
-            x = Contract(s, c, r)
-            kind = _waste_class(m, st, x)
-            if kind is not None:
-                counts[kind] += 1
-                waste_witnesses.append((x, kind))
-                waste_set.add(x)
-            victims = _envy_victims(m, st, x)
-            if victims:
-                direct = _has_direct_victim(x, victims)
-                if direct:
-                    counts[DIRECT_ENVY] += 1
-                    any_direct = True
-                else:
-                    counts[INDIRECT_ENVY] += 1
-                envy_witnesses.append((x, tuple(victims), direct))
-
-    non_wasteful = not waste_witnesses
-    envy_free = not envy_witnesses
-    seat_efficient = counts[SEAT] == 0
-    resource_efficient = counts[RESOURCE] == 0
-
-    weakly_stable = not any_direct
-    if weakly_stable:
-        for x, _kind in waste_witnesses:
-            r = x.resource
-            if r == EMPTY_RESOURCE or st.rcount[r] != m.resource_quotas[r - 1]:
-                weakly_stable = False
-                break
-
-    direct_envy_stable = not any_direct
-    if direct_envy_stable and waste_witnesses:
-        # no contract direct-envy-blocks mu here, so clean means not wasteful
-        pairs = {(x.college, x.resource) for x, _kind in waste_witnesses}
-        candidates = _clean_candidates(m, st, pairs, waste_set.__contains__)
+    direct_envy_stable = not n_direct
+    if direct_envy_stable and waste:
+        buckets: dict[Pair, list[Contract]] = {
+            (x.college, x.resource): [] for x, _kind in waste
+        }
+        for xp in clean:
+            bucket = buckets.get((xp.college, xp.resource))
+            if bucket is not None:
+                bucket.append(xp)
         direct_envy_stable = all(
-            _dominating_witness(m, x, candidates[(x.college, x.resource)])
-            is not None
-            for x, _kind in waste_witnesses
+            _dominating_witness(m, x, buckets[(x.college, x.resource)]) is not None
+            for x, _kind in waste
         )
 
     return BlockingReport(
         counts=counts,
-        total=sum(counts.values()),
-        stable=non_wasteful and envy_free,
-        envy_free=envy_free,
-        direct_envy_free=not any_direct,
-        non_wasteful=non_wasteful,
-        seat_efficient=seat_efficient,
-        resource_efficient=resource_efficient,
+        total=len(waste) + len(envy),
+        stable=not waste and not envy,
+        envy_free=not envy,
+        direct_envy_free=not n_direct,
+        non_wasteful=not waste,
+        seat_efficient=counts[SEAT] == 0,
+        resource_efficient=n_resource == 0,
         weakly_stable=weakly_stable,
         direct_envy_stable=direct_envy_stable,
-        waste_witnesses=tuple(waste_witnesses),
-        envy_witnesses=tuple(envy_witnesses),
+        waste_witnesses=tuple(waste),
+        envy_witnesses=tuple(envy),
     )

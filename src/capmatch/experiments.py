@@ -14,7 +14,8 @@ import hashlib
 import io
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from contextlib import nullcontext
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -79,13 +80,7 @@ class ExperimentConfig:
                 )
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "master_seed": self.master_seed,
-            "replicas": self.replicas,
-            "mechanisms": list(self.mechanisms),
-            "market": self.market.to_dict(),
-        }
+        return dict(asdict(self), mechanisms=list(self.mechanisms))
 
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
@@ -118,27 +113,12 @@ class RunResult:
     total: int
 
     def to_dict(self) -> dict:
-        return {
-            "replica": self.replica,
-            "mechanism": self.mechanism,
-            "alignment": self.alignment,
-            "market_seed": self.market_seed,
-            "mech_seed": self.mech_seed,
-            "counts": dict(self.counts),
-            "total": self.total,
-        }
+        return asdict(self)
 
     @staticmethod
     def from_dict(d: dict) -> "RunResult":
-        return RunResult(
-            replica=d["replica"],
-            mechanism=d["mechanism"],
-            alignment=d["alignment"],
-            market_seed=d["market_seed"],
-            mech_seed=d["mech_seed"],
-            counts=dict(d["counts"]),
-            total=d["total"],
-        )
+        """d must have passed _check_result_row."""
+        return RunResult(**d)
 
 
 def run_one(market, mechanism: str, seed: int) -> tuple[dict[str, int], int]:
@@ -166,7 +146,7 @@ def replica_market(config: ExperimentConfig, replica: int) -> tuple[Market, int]
 def _run_replica(config: ExperimentConfig, replica: int) -> list[RunResult]:
     market, mseed = replica_market(config, replica)
     out = []
-    for mech in config.mechanisms:
+    for mech in sorted(config.mechanisms, key=MECHANISM_ORDER.index):
         kseed = mechanism_seed(config.master_seed, replica, mech)
         counts, total = run_one(market, mech, kseed)
         out.append(
@@ -195,20 +175,13 @@ def run_experiment(
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     results: list[RunResult] = []
-    if jobs > 1:
-        run = functools.partial(_run_replica, config)
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for i, rows in enumerate(pool.map(run, range(config.replicas))):
-                results.extend(rows)
-                if progress:
-                    progress(i + 1, config.replicas)
-    else:
-        for i in range(config.replicas):
-            results.extend(_run_replica(config, i))
+    run = functools.partial(_run_replica, config)
+    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+        replicas = (pool.map if pool else map)(run, range(config.replicas))
+        for i, rows in enumerate(replicas, 1):
+            results.extend(rows)
             if progress:
-                progress(i + 1, config.replicas)
-    order = {mech: k for k, mech in enumerate(MECHANISM_ORDER)}
-    results.sort(key=lambda r: (r.replica, order[r.mechanism]))
+                progress(i, config.replicas)
     return results
 
 
@@ -236,13 +209,12 @@ def aggregate(results: list[RunResult]) -> list[AggregateRow]:
         rs = groups[(alignment, mech)]
         means: dict[str, float] = {}
         stds: dict[str, float] = {}
-        for cat in BLOCK_CATEGORIES:
-            xs = np.array([r.counts[cat] for r in rs], dtype=float)
+        for cat in (*BLOCK_CATEGORIES, "total"):
+            xs = np.array(
+                [r.total if cat == "total" else r.counts[cat] for r in rs], dtype=float
+            )
             means[cat] = float(xs.mean())
             stds[cat] = float(xs.std(ddof=1)) if len(xs) > 1 else 0.0
-        totals = np.array([r.total for r in rs], dtype=float)
-        means["total"] = float(totals.mean())
-        stds["total"] = float(totals.std(ddof=1)) if len(totals) > 1 else 0.0
         rows.append(
             AggregateRow(
                 alignment=alignment,

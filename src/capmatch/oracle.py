@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
-from math import prod
+from math import factorial, prod
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -200,34 +200,25 @@ def strategyproofness_probe(
         for k in range(len(true_pairs) + 1)
     )
 
-    orders: list[Optional[tuple[int, ...]]] = [None]
-    if isinstance(mechanism, str):
-        from .mechanisms import MECHANISMS, run_rsd
+    from .mechanisms import MECHANISMS, run_rsd
 
-        if mechanism == "rsd":
-            orders = [tuple(p) for p in permutations(range(m.n_students))]
-
-            def runner(mm: Market, order) -> Matching:
-                return run_rsd(mm, order=order).matching
-
-        else:
-            fn = MECHANISMS[mechanism]
-
-            def runner(mm: Market, order) -> Matching:
-                return fn(mm, seed=seed).matching
-
-    else:
-
-        def runner(mm: Market, order) -> Matching:
-            return mechanism(mm)
-
-    if n_reports * len(orders) > bound:
+    rsd = mechanism == "rsd"
+    named = MECHANISMS[mechanism] if isinstance(mechanism, str) and not rsd else None
+    # count the serial orders before building any: n! outgrows memory fast
+    n_orders = factorial(m.n_students) if rsd else 1
+    if n_reports * n_orders > bound:
         raise OracleBoundError(
-            f"{n_reports} misreports x {len(orders)} orders exceeds {bound}"
+            f"{n_reports} misreports x {n_orders} orders exceeds {bound}"
         )
+    orders = list(permutations(range(m.n_students))) if rsd else [None]
 
     def outcome_pos(mm: Market, order) -> tuple[int, Optional[tuple[int, int]]]:
-        mu = runner(mm, order)
+        if rsd:
+            mu = run_rsd(mm, order=order).matching
+        elif named is not None:
+            mu = named(mm, seed=seed).matching
+        else:
+            mu = mechanism(mm)
         x = mu.student_contract(student)
         pair = (x.college, x.resource) if x is not None else None
         # misreported assignments are always drawn from the true acceptable

@@ -181,6 +181,21 @@ def test_probe_bound_guard():
         strategyproofness_probe(m, "rsd", student=0, bound=3)
 
 
+def test_rsd_probe_refuses_before_it_builds_the_serial_orders():
+    # 12! = 479,001,600 orders: building them first would take gigabytes
+    m = Market(
+        n_students=12,
+        college_quotas=[1],
+        resource_quotas=[],
+        regions=[],
+        priorities=[list(range(12))],
+        preferences=[[(0, 0)]] * 12,
+    )
+    message = "2 misreports x 479001600 orders exceeds 200000"
+    with pytest.raises(OracleBoundError, match=f"^{message}$"):
+        strategyproofness_probe(m, "rsd", student=0)
+
+
 def test_probe_accepts_a_callable():
     m = load_fixture("prop8_market1")
 
