@@ -64,7 +64,6 @@ from capmatch.blocking import (
 )
 from capmatch.cutoffs import CutoffProfile
 from capmatch.experiments import aggregate, results_to_json, table_csv, table_text
-from capmatch import generate
 from capmatch.generate import ALIGNMENTS, BALANCES, SEMI_SAMPLERS, _grid_order
 from capmatch.market import EMPTY_RESOURCE, Market, dumps_market
 from capmatch.mechanisms import RunTrace
@@ -392,25 +391,53 @@ def reference_unaligned_order(cfg, rng):
     return [(int(ci), queues[ci].pop()) for ci in slots]
 
 
-def reference_unaligned_market(cfg, seed):
-    """generate_market on an unaligned config with the numpy preference loop
-    above; also whether a 32-bit half was pending when the lists began."""
-    n, r = cfg.n_students, cfg.n_resources
+def reference_generate_market(cfg, seed):
+    """generate_market as it drew through numpy's `Generator`: quotas,
+    regions and priorities from Generator methods, then each student's order
+    from the grid or unaligned reference above and its truncation from
+    rng.integers. Also whether a 32-bit half was pending when the lists
+    began."""
+    n, c, r = cfg.n_students, cfg.n_colleges, cfg.n_resources
+    budget = {"balanced": n, "up": 2 * n, "down": n // 2}
     rng = np.random.default_rng(seed)
-    college_quotas = generate._college_quotas(cfg, rng)
-    regions = generate._regions(cfg, rng)
-    priorities = generate._priorities(cfg, rng)
+    total = budget[cfg.college_balance]
+    if cfg.quota_split_scheme == "equal":
+        base, rem = divmod(total, c)
+        college_quotas = [base + (1 if i < rem else 0) for i in range(c)]
+    else:
+        cuts = np.sort(rng.choice(total - 1, size=c - 1, replace=False)) + 1
+        college_quotas = np.diff(np.concatenate(([0], cuts, [total]))).tolist()
+    if cfg.region_scheme == "all":
+        regions = [list(range(c)) for _ in range(r)]
+    elif cfg.region_scheme == "partition":
+        chunks = np.array_split(rng.permutation(c), r) if r else []
+        regions = [sorted(chunk.tolist()) for chunk in chunks]
+    else:
+        k = int(cfg.region_scheme.split(":", 1)[1])
+        regions = [
+            sorted(rng.choice(c, size=k, replace=False).tolist()) for _ in range(r)
+        ]
+    if cfg.alignment in ("college_full", "student_and_college_full"):
+        priorities = [list(range(n - 1, -1, -1)) for _ in range(c)]
+    else:
+        priorities = [rng.permutation(n).tolist() for _ in range(c)]
     pending = bool(rng.bit_generator.state["has_uint32"])
+    weights = None
+    if cfg.alignment == "student_semi" and cfg.semi_sampler == "quality":
+        weights = np.arange(1, c + 1, dtype=float)
     preferences = []
     for _ in range(n):
-        order = reference_unaligned_order(cfg, rng)
+        if cfg.alignment in ("none", "college_full"):
+            order = reference_unaligned_order(cfg, rng)
+        else:
+            order = reference_grid_order(cfg, rng, weights)
         if cfg.truncation == "uniform":
             order = order[: int(rng.integers(len(order) + 1))]
         preferences.append(order)
     market = Market(
-        n_students=cfg.n_students,
+        n_students=n,
         college_quotas=college_quotas,
-        resource_quotas=[generate._budget(n, cfg.resource_balance)] * r,
+        resource_quotas=[budget[cfg.resource_balance]] * r,
         regions=regions,
         priorities=priorities,
         preferences=preferences,
@@ -418,11 +445,12 @@ def reference_unaligned_market(cfg, seed):
     return market, pending
 
 
-# (n, C, R, region scheme, quota split): one college, no resources, eight
-# resources, and every region scheme and quota split
-UNALIGNED_SHAPES = [
+# (n, C, R, region scheme, quota split): one college, no resources (under
+# "all" and "partition"), eight resources, and every region scheme and split
+GENERATED_SHAPES = [
     (8, 1, 2, "all", "equal"),
     (10, 3, 0, "all", "random"),
+    (7, 4, 0, "partition", "random"),
     (12, 9, 8, "random:4", "random"),
     (20, 5, 3, "partition", "equal"),
     (30, 4, 2, "random:2", "random"),
@@ -430,11 +458,14 @@ UNALIGNED_SHAPES = [
 ]
 
 
-def test_unaligned_preferences_match_the_numpy_reference():
+def assert_generated_markets_match_the_reference(regimes):
+    """generate_market against reference_generate_market on every shape,
+    (alignment, semi sampler) regime and truncation, at four seeds."""
     pending_seen = {False: 0, True: 0}
-    for (n, c, r, scheme, split), alignment, truncation, seed in itertools.product(
-        UNALIGNED_SHAPES, ("none", "college_full"), ("uniform", "none"), range(4)
+    for shape, (alignment, sampler), truncation, seed in itertools.product(
+        GENERATED_SHAPES, regimes, ("uniform", "none"), range(4)
     ):
+        n, c, r, scheme, split = shape
         cfg = GenConfig(
             n_students=n,
             n_colleges=c,
@@ -443,14 +474,32 @@ def test_unaligned_preferences_match_the_numpy_reference():
             region_scheme=scheme,
             quota_split_scheme=split,
             truncation=truncation,
+            semi_sampler=sampler,
         )
-        expected, pending = reference_unaligned_market(cfg, seed)
+        expected, pending = reference_generate_market(cfg, seed)
         got = dumps_market(generate_market(cfg, seed=seed))
         assert got == dumps_market(expected), (cfg, seed)
         pending_seen[pending] += 1
     # the lists must start right after the priorities in both stream states:
     # on a fresh word, and on the high half of a word the priorities began
     assert min(pending_seen.values()) >= 10, pending_seen
+
+
+def test_unaligned_preferences_match_the_numpy_reference():
+    assert_generated_markets_match_the_reference(
+        [("none", "quality"), ("college_full", "quality")]
+    )
+
+
+def test_aligned_preferences_match_the_numpy_reference():
+    assert_generated_markets_match_the_reference(
+        [
+            ("student_semi", "quality"),
+            ("student_semi", "uniform"),
+            ("student_full", "quality"),
+            ("student_and_college_full", "quality"),
+        ]
+    )
 
 
 # the dictators_2000 benchmark shape: one n=2000, C=20, R=5 unaligned market
