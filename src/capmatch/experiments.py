@@ -21,7 +21,7 @@ import numpy as np
 
 from .blocking import BLOCK_CATEGORIES, audit
 from .generate import GenConfig, _require_type, check_config_keys, generate_market
-from .market import Market, validate_market
+from .market import Market, _require_keys, validate_market
 from .mechanisms import MECHANISM_ORDER, MECHANISMS
 
 _MARKET_TAG = 0
@@ -316,15 +316,3 @@ def _check_result_row(i: int, row) -> None:
             f"{where} key 'total' is {row['total']}, but its counts sum to "
             f"{sum(counts.values())}"
         )
-
-
-def _require_keys(where: str, d, keys) -> None:
-    """Raise ValueError unless d is an object with exactly the given keys."""
-    if not isinstance(d, dict):
-        raise ValueError(f"{where} must be an object")
-    for key in keys:
-        if key not in d:
-            raise ValueError(f"{where} lacks key {key!r}")
-    for key in d:
-        if key not in keys:
-            raise ValueError(f"{where} has unknown key {key!r}")

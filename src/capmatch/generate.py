@@ -21,17 +21,10 @@ keeping (c, r); that only trips the validator's warning level, not an error.
 Quota budgets scale with the student count: the college-side budget and each
 resource kind's quota are |S|, 2|S|, or |S|//2 (balanced / up / down).
 
-One seeded stream makes a market, in this order: quotas, regions, priorities,
-preference lists. Everything but the unaligned preference lists draws through
-numpy's `Generator`. The lists of `none` and `college_full` are thousands of
-short shuffles, so they draw through `_draws.Draws.from_generator`, which
-continues the Generator's PCG64 stream (its pending 32-bit half included)
-with the same numbers in pure Python. That needs no hand-back to numpy
-because the lists are the last draw of `generate_market`: the Generator is
-never read after them. A new draw after the lists would have to go through
-the same `Draws`. The aligned regimes keep `Generator` throughout: their
-weighted picks read whole words through `rng.random()`, beside a pending
-32-bit half, which `Draws` does not replicate.
+One seeded `_draws.Draws` stream makes a market, in this order: quotas,
+regions, priorities, preference lists. It draws the numbers numpy's
+`default_rng(seed)` would draw for the same calls, from PCG64's raw words,
+which numpy's compatibility policy fixes; no `Generator` method is called.
 """
 
 from __future__ import annotations
@@ -40,9 +33,7 @@ import bisect
 import functools
 import itertools
 from dataclasses import asdict, dataclass, fields
-from typing import Optional
-
-import numpy as np
+from typing import Optional, Sequence
 
 from ._draws import Draws
 from .market import EMPTY_RESOURCE, Market
@@ -174,7 +165,7 @@ def _budget(n_students: int, balance: str) -> int:
     return n_students // 2
 
 
-def _college_quotas(cfg: GenConfig, rng) -> list[int]:
+def _college_quotas(cfg: GenConfig, draws: Draws) -> list[int]:
     total = _budget(cfg.n_students, cfg.college_balance)
     c = cfg.n_colleges
     if total < c:
@@ -185,31 +176,36 @@ def _college_quotas(cfg: GenConfig, rng) -> list[int]:
         base, rem = divmod(total, c)
         return [base + (1 if i < rem else 0) for i in range(c)]
     # uniform random composition of `total` into c parts >= 1 (stars and bars)
-    cuts = np.sort(rng.choice(total - 1, size=c - 1, replace=False)) + 1
-    return np.diff(np.concatenate(([0], cuts, [total]))).tolist()
+    cuts = [0, *sorted(x + 1 for x in draws.choice(total - 1, c - 1)), total]
+    return [b - a for a, b in zip(cuts, cuts[1:])]
 
 
-def _regions(cfg: GenConfig, rng) -> list[list[int]]:
+def _regions(cfg: GenConfig, draws: Draws) -> list[list[int]]:
     c, r = cfg.n_colleges, cfg.n_resources
     if cfg.region_scheme == "all":
         return [list(range(c)) for _ in range(r)]
     if cfg.region_scheme == "partition":
         if r > c:
             raise ValueError("cannot partition fewer colleges than resources")
-        chunks = np.array_split(rng.permutation(c), r) if r else []
-        return [sorted(chunk.tolist()) for chunk in chunks]
+        if not r:
+            return []  # drawing no permutation, which would shift every later draw
+        # r runs of the shuffled colleges, the first c % r one longer
+        order = draws.permutation(c)
+        base, extra = divmod(c, r)
+        ends = [i * base + min(i, extra) for i in range(r + 1)]
+        return [sorted(order[a:b]) for a, b in zip(ends, ends[1:])]
     k = int(cfg.region_scheme.split(":", 1)[1])
     if not (1 <= k <= c):
         raise ValueError(f"region size {k} out of range 1..{c}")
-    return [sorted(rng.choice(c, size=k, replace=False).tolist()) for _ in range(r)]
+    return [sorted(draws.choice(c, k)) for _ in range(r)]
 
 
-def _priorities(cfg: GenConfig, rng) -> list[list[int]]:
+def _priorities(cfg: GenConfig, draws: Draws) -> list[list[int]]:
     n, c = cfg.n_students, cfg.n_colleges
     if cfg.alignment in ("college_full", "student_and_college_full"):
         common = list(range(n - 1, -1, -1))  # higher id = better
         return [list(common) for _ in range(c)]
-    return [rng.permutation(n).tolist() for _ in range(c)]
+    return [draws.permutation(n) for _ in range(c)]
 
 
 @functools.lru_cache(maxsize=64)
@@ -228,8 +224,7 @@ def _unaligned_order(cfg: GenConfig, draws: Draws) -> list[tuple[int, int]]:
     the colleges' pair slots and a within-college order of the non-empty
     pairs: together those choices biject onto the valid full orders. The
     draws are those of numpy's shuffle of the slot array, then of each
-    college's resources 1..r in college order; a `Generator`, whose
-    shuffle of a list draws the same, may stand in for draws.
+    college's resources 1..r in college order.
     """
     slots, pairs, empties = _unaligned_pairs(cfg.n_colleges, cfg.n_resources)
     slots = list(slots)
@@ -244,7 +239,7 @@ def _unaligned_order(cfg: GenConfig, draws: Draws) -> list[tuple[int, int]]:
 
 
 def _grid_order(
-    cfg: GenConfig, rng, weights: Optional[np.ndarray]
+    cfg: GenConfig, draws: Draws, weights: Optional[Sequence[float]]
 ) -> list[tuple[int, int]]:
     """Random topological order of the desirability grid, best first.
 
@@ -259,24 +254,22 @@ def _grid_order(
     and college ci's frontier pair is (ci, top[ci] - 1). A weighted pick
     inverts the cumulative distribution the way Generator.choice does: p =
     w / sum(w), a running sum normalised by its last entry, one
-    rng.random() draw. It draws the same stream and picks the same pair as
-    rng.choice whenever the weight sum is exact, as it is for integer
+    draws.random() draw. It draws the same stream and picks the same pair as
+    Generator.choice whenever the weight sum is exact, as it is for integer
     weights.
     """
     c, r = cfg.n_colleges, cfg.n_resources
-    if weights is not None:
-        weights = [float(w) for w in weights]
     top = [r + 1] * c  # college ci has emitted its pairs top[ci]..r
     frontier = [c - 1]
     out: list[tuple[int, int]] = []
     while frontier:
         if weights is None or len(frontier) == 1:
-            k = int(rng.integers(len(frontier)))
+            k = draws.integers(len(frontier))
         else:
             w = [weights[ci] for ci in frontier]
             total = sum(w)
             cdf = list(itertools.accumulate(wi / total for wi in w))
-            k = bisect.bisect_right([p / cdf[-1] for p in cdf], rng.random())
+            k = bisect.bisect_right([p / cdf[-1] for p in cdf], draws.random())
         ci = frontier.pop(k)
         ri = top[ci] - 1
         top[ci] = ri
@@ -288,30 +281,22 @@ def _grid_order(
     return out
 
 
-def _preferences(cfg: GenConfig, rng) -> list[list[tuple[int, int]]]:
+def _preferences(cfg: GenConfig, draws: Draws) -> list[list[tuple[int, int]]]:
     """Every student's list, truncated as cfg says; each list's truncation
-    is drawn right after its order.
-
-    The unaligned regimes draw through a `Draws` that continues rng's
-    stream, which is why rng must not draw after this. The aligned ones keep
-    rng: their weighted picks read a whole fresh word through rng.random().
-    """
+    is drawn right after its order."""
     if cfg.alignment in ("none", "college_full"):
-        draws = Draws.from_generator(rng)
         sample = functools.partial(_unaligned_order, cfg, draws)
-        integers = draws.integers
     else:
         weights = None
         if cfg.alignment == "student_semi" and cfg.semi_sampler == "quality":
-            weights = np.arange(1, cfg.n_colleges + 1, dtype=float)
-        sample = functools.partial(_grid_order, cfg, rng, weights)
-        integers = rng.integers
+            weights = range(1, cfg.n_colleges + 1)
+        sample = functools.partial(_grid_order, cfg, draws, weights)
 
     prefs = []
     for _ in range(cfg.n_students):
         order = sample()
         if cfg.truncation == "uniform":
-            order = order[: int(integers(len(order) + 1))]
+            order = order[: draws.integers(len(order) + 1)]
         prefs.append(order)
     return prefs
 
@@ -322,17 +307,17 @@ def generate_market(cfg: GenConfig, seed: Optional[int] = None) -> Market:
     The same config and seed always produce the same market, byte for byte
     once serialized.
     """
-    rng = np.random.default_rng(cfg.seed if seed is None else seed)
-    college_quotas = _college_quotas(cfg, rng)
+    draws = Draws(cfg.seed if seed is None else seed)
+    college_quotas = _college_quotas(cfg, draws)
     resource_quotas = [
         _budget(cfg.n_students, cfg.resource_balance)
         for _ in range(cfg.n_resources)
     ]
     if cfg.n_resources and min(resource_quotas, default=1) < 1:
         raise ValueError("resource budget leaves a resource without units")
-    regions = _regions(cfg, rng)
-    priorities = _priorities(cfg, rng)
-    preferences = _preferences(cfg, rng)  # the last draw: rng is spent
+    regions = _regions(cfg, draws)
+    priorities = _priorities(cfg, draws)
+    preferences = _preferences(cfg, draws)
     return Market(
         n_students=cfg.n_students,
         college_quotas=college_quotas,

@@ -455,7 +455,41 @@ def market_to_dict(m: Market) -> dict:
     }
 
 
+_MARKET_KEYS = ("colleges", "preferences", "priorities", "resources", "students")
+
+
 def market_from_dict(d: dict) -> Market:
+    """Read market_to_dict's layout back.
+
+    Raises:
+        ValueError: d is not that layout, or its lists do not fit together;
+            the message names the first bad key.
+    """
+    _require_keys("market", d, _MARKET_KEYS)
+    _require_int("market key 'students'", d["students"])
+    for key in ("colleges", "resources", "priorities", "preferences"):
+        if not isinstance(d[key], list):
+            raise ValueError(f"market key {key!r} must be a list")
+    for i, col in enumerate(d["colleges"]):
+        where = f"market key 'colleges' entry {i}"
+        _require_keys(where, col, ("quota",))
+        _require_int(f"{where} key 'quota'", col["quota"])
+    for i, res in enumerate(d["resources"]):
+        where = f"market key 'resources' entry {i}"
+        _require_keys(where, res, ("quota", "region"))
+        _require_int(f"{where} key 'quota'", res["quota"])
+        _require_ints(f"{where} key 'region'", res["region"])
+    for c, plist in enumerate(d["priorities"]):
+        _require_ints(f"market key 'priorities' entry {c}", plist)
+    for s, prefs in enumerate(d["preferences"]):
+        if not isinstance(prefs, list) or not all(
+            isinstance(p, list) and len(p) == 2 and all(type(x) is int for x in p)
+            for p in prefs
+        ):
+            raise ValueError(
+                f"market key 'preferences' entry {s} must be a list of "
+                "[college, resource] pairs of integers"
+            )
     return Market(
         n_students=d["students"],
         college_quotas=[col["quota"] for col in d["colleges"]],
@@ -464,6 +498,28 @@ def market_from_dict(d: dict) -> Market:
         priorities=d["priorities"],
         preferences=[[(c, r) for (c, r) in prefs] for prefs in d["preferences"]],
     )
+
+
+def _require_keys(where: str, d, keys) -> None:
+    """Raise ValueError unless d is an object with exactly the given keys."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{where} must be an object")
+    for key in keys:
+        if key not in d:
+            raise ValueError(f"{where} lacks key {key!r}")
+    for key in d:
+        if key not in keys:
+            raise ValueError(f"{where} has unknown key {key!r}")
+
+
+def _require_int(where: str, value) -> None:
+    if type(value) is not int:
+        raise ValueError(f"{where} must be an integer, not {type(value).__name__}")
+
+
+def _require_ints(where: str, values) -> None:
+    if not isinstance(values, list) or any(type(v) is not int for v in values):
+        raise ValueError(f"{where} must be a list of integers")
 
 
 def dumps_market(m: Market) -> str:

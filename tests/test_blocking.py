@@ -359,3 +359,16 @@ def test_audit_ignores_contracts_below_the_current_assignment():
     rep = audit(m, mu)
     blocked = [x for x, _ in rep.waste_witnesses] + [x for x, _, _ in rep.envy_witnesses]
     assert all(x.student != 0 for x in blocked)
+
+
+def test_a_student_her_college_does_not_rank_envies_no_one():
+    # the college ranks only student 0, so student 1, who wants its one seat,
+    # has no standing to envy the holder; the market fails validation but
+    # still builds and audits
+    m = Market(2, [1], [], [], [[0]], [[(0, 0)], [(0, 0)]])
+    mu = Matching([Contract(0, 0, 0)])
+    rep = audit(m, mu)
+    assert rep.total == 0 and rep.envy_witnesses == ()
+    assert rep.stable and rep.direct_envy_stable
+    assert envy_victims(m, mu, Contract(1, 0, 0)) == ()
+    assert not is_envy_blocking(m, mu, Contract(1, 0, 0))

@@ -205,6 +205,56 @@ def test_oracle_refuses_an_invalid_market_file(tmp_path, capsys):
     assert "college 0 priority list is not a permutation" in captured.err
 
 
+def without(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda doc: [], "market must be an object"),
+        (lambda doc: without(doc, "students"), "market lacks key 'students'"),
+        (lambda doc: {**doc, "name": "x"}, "market has unknown key 'name'"),
+        (
+            lambda doc: {**doc, "students": "2"},
+            "market key 'students' must be an integer, not str",
+        ),
+        (lambda doc: {**doc, "colleges": 2}, "market key 'colleges' must be a list"),
+        (
+            lambda doc: {**doc, "colleges": [{"quota": 1}, {}]},
+            "market key 'colleges' entry 1 lacks key 'quota'",
+        ),
+        (
+            lambda doc: {**doc, "resources": [{"quota": 1, "region": 0}]},
+            "market key 'resources' entry 0 key 'region' must be a list",
+        ),
+        (
+            lambda doc: {**doc, "priorities": [[0, "1"], [0, 1]]},
+            "market key 'priorities' entry 0 must be a list",
+        ),
+        (
+            lambda doc: {**doc, "preferences": [[0], *doc["preferences"][1:]]},
+            "market key 'preferences' entry 0 must be a list of",
+        ),
+    ],
+    ids=["not-an-object", "missing-key", "unknown-key", "string-count",
+         "colleges-not-a-list", "college-without-quota", "region-not-a-list",
+         "string-priority", "bare-int-preference"],
+)
+def test_oracle_refuses_a_malformed_market_file_by_key(
+    tmp_path, capsys, edit, message
+):
+    from capmatch import load_fixture
+    from capmatch.market import market_to_dict
+
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(edit(market_to_dict(load_fixture("example1")))))
+    assert main(["oracle", "--market", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"capmatch: error: {message}")
+
+
 def test_oracle_argument_errors(capsys):
     assert main(["oracle"]) == 1
     assert main(["oracle", "--fixture", "example1", "--market", "x.json"]) == 1

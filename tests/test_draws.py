@@ -1,9 +1,9 @@
 """`Draws` against numpy: the same seed gives the same numbers, call for call.
 
-Every test runs one `Draws` and one `np.random.default_rng` on the same seed,
-or on the same point of one stream, through the same calls, so a pending high
-half, a rejection or a refill of the word buffer that the replica handled
-differently would show as a different number in that call or a later one.
+Every test runs one `Draws` and one `np.random.default_rng` on the same seed
+through the same calls, so a pending high half, a rejection or a refill of the
+word buffer that the replica handled differently would show as a different
+number in that call or a later one.
 """
 
 import numpy as np
@@ -18,9 +18,15 @@ U32 = 1 << 32
 
 
 def call(source, op, arg):
-    """One draw from a Draws or a Generator, as an int or a list of ints."""
+    """One draw from a Draws or a Generator, as a number or a list of ints."""
     if op == "integers":
         return int(source.integers(arg))
+    if op == "random":
+        return source.random()
+    if op == "choice":  # of arg = (n, k)
+        if isinstance(source, Draws):
+            return source.choice(*arg)
+        return source.choice(*arg, replace=False).tolist()
     if op == "shuffle":  # of arg items that are not ints
         items = [f"item {i}" for i in range(arg)]
         source.shuffle(items)
@@ -43,6 +49,7 @@ def test_every_bound_and_length_interleaved_on_one_stream():
         calls.append(("permutation", n))
         calls.extend(("integers", k) for k in BOUNDS)
         calls.append(("shuffle", n))
+        calls.extend([("random", None), ("choice", (n, n // 2))])
     # a permutation(n) or a shuffle of n items takes at least n - 1 32-bit
     # draws and integers(k > 1) at least one, so the sweep crosses a refill
     # of the word buffer
@@ -89,30 +96,60 @@ def test_shuffle_matches_generator_shuffle_of_lists_and_arrays():
             assert mine == theirs.tolist(), (seed, n)
 
 
-HAND_IN_CALLS = [
+AFTER_CALLS = [
+    ("random", None),
     ("integers", 3),
+    ("random", None),
     ("shuffle", 9),
     ("integers", 2**32),
+    ("choice", (20, 7)),
+    ("random", None),
     ("permutation", 5),
     ("integers", 1),
     ("integers", 199),
 ]
 
 
-@pytest.mark.parametrize("before", [0, 1, 2, 5, 6, 2 * _CHUNK + 1])
-def test_a_hand_in_draws_what_the_generator_would_draw_next(before):
+@pytest.mark.parametrize("before", [0, 1, 2, 5, 6, 2 * _CHUNK - 1])
+def test_random_reads_a_whole_word_beside_a_pending_half(before):
     """After an odd number of integers(k) calls the generator holds the high
-    half of a word; the hand-in must draw it first, then fresh words."""
+    half of a word: random() must read the next whole word and leave that
+    half for the next 32-bit draw. After 2 * _CHUNK - 1 calls the held half
+    is the last of a chunk, and the word comes from the next chunk."""
     for seed in range(10):
-        rng = np.random.default_rng(seed)
-        for _ in range(before):
-            rng.integers(1000)  # one 32-bit draw but for a 296 in 2**32 chance
+        draws, rng = Draws(seed), np.random.default_rng(seed)
+        # one 32-bit draw each but for a 296 in 2**32 chance
+        assert_same_draws(draws, rng, [("integers", 1000)] * before)
         assert rng.bit_generator.state["has_uint32"] == before % 2
-        twin = np.random.Generator(np.random.PCG64())
-        twin.bit_generator.state = rng.bit_generator.state
-        draws = Draws.from_generator(rng)
-        # 80 rounds take at least 1200 halves, past the first refill
-        assert_same_draws(draws, twin, HAND_IN_CALLS * 80, (seed, before))
+        # 80 rounds take at least 1200 halves, past the next refill
+        assert_same_draws(draws, rng, AFTER_CALLS * 80, (seed, before))
+
+
+@pytest.mark.parametrize(
+    "n, k",
+    [
+        (0, 0),
+        (1, 1),
+        (7, 0),
+        (7, 7),
+        (60, 13),
+        (10000, 300),  # numpy's Floyd branch up to n = 10000 ...
+        (10001, 200),  # ... and above it for k <= n // 50
+        (10001, 201),  # its tail-shuffle branch
+        (12000, 300),
+        (12000, 12000),
+    ],
+)
+def test_choice_matches_generator_choice_without_replacement(n, k):
+    calls = [("choice", (n, k)), ("integers", 199), ("random", None)] * 2
+    for seed in range(3):
+        assert_same_stream(seed, calls)
+
+
+@pytest.mark.parametrize("n, k", [(3, 4), (3, -1), (2**32 + 1, 1)])
+def test_choice_outside_its_range_is_refused(n, k):
+    with pytest.raises(ValueError):
+        Draws(0).choice(n, k)
 
 
 def first_word(seed):
@@ -160,6 +197,13 @@ CALLS = st.lists(
         st.tuples(st.just("integers"), st.integers(1, 2**32)),
         st.tuples(st.just("permutation"), st.integers(0, 40)),
         st.tuples(st.just("shuffle"), st.integers(0, 40)),
+        st.tuples(st.just("random"), st.none()),
+        st.tuples(
+            st.just("choice"),
+            st.integers(0, 40).flatmap(
+                lambda n: st.tuples(st.just(n), st.integers(0, n))
+            ),
+        ),
     ),
     max_size=60,
 )

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from capmatch import GenConfig, generate_market, validate_market
-from capmatch.generate import _grid_order, _unaligned_order
+from capmatch._draws import Draws
+from capmatch.generate import ALIGNMENTS, _grid_order, _unaligned_order
 from capmatch.market import dumps_market
 
 
@@ -192,23 +193,23 @@ def test_grid_sampler_weights_shift_the_second_pick():
     (c0, r1) or (c1, r0). Quality weights (1, 2) should pick the better
     college's pair about twice as often; the uniform sampler about half."""
     cfg = GenConfig(n_students=1, n_colleges=2, n_resources=1)
-    rng = np.random.default_rng(42)
+    draws = Draws(42)
     n = 4000
     weighted = sum(
-        _grid_order(cfg, rng, np.array([1.0, 2.0]))[1] == (1, 0) for _ in range(n)
+        _grid_order(cfg, draws, [1.0, 2.0])[1] == (1, 0) for _ in range(n)
     )
-    uniform = sum(_grid_order(cfg, rng, None)[1] == (1, 0) for _ in range(n))
+    uniform = sum(_grid_order(cfg, draws, None)[1] == (1, 0) for _ in range(n))
     assert abs(weighted / n - 2 / 3) < 0.03
     assert abs(uniform / n - 1 / 2) < 0.03
 
 
 def test_grid_and_unaligned_orders_are_permutations_of_all_pairs():
     cfg = GenConfig(n_students=1, n_colleges=3, n_resources=2)
-    rng = np.random.default_rng(0)
+    draws = Draws(0)
     every = {(c, r) for c in range(3) for r in range(3)}
     for _ in range(50):
-        assert set(_grid_order(cfg, rng, None)) == every
-        assert set(_unaligned_order(cfg, rng)) == every
+        assert set(_grid_order(cfg, draws, None)) == every
+        assert set(_unaligned_order(cfg, draws)) == every
 
 
 def test_resource_free_configs_work():
@@ -216,3 +217,30 @@ def test_resource_free_configs_work():
     m = generate_market(cfg, seed=2)
     assert m.n_resources == 0
     assert all(r == 0 for prefs in m.preferences for (_, r) in prefs)
+
+
+def test_generation_draws_through_no_numpy_generator(monkeypatch):
+    """Every market byte comes from one `Draws` stream: with numpy's
+    Generator unusable, every regime, sampler, region scheme, quota split
+    and truncation still generates."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("generate_market reached numpy's Generator")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    monkeypatch.setattr(np.random, "Generator", refuse)
+    grid = itertools.product(
+        ALIGNMENTS,
+        ("quality", "uniform"),
+        ("all", "random:2", "partition"),
+        ("equal", "random"),
+        ("uniform", "none"),
+    )
+    for align, sampler, regions, split, truncation in grid:
+        cfg = GenConfig(
+            n_students=12, n_colleges=4, n_resources=3, alignment=align,
+            semi_sampler=sampler, region_scheme=regions,
+            quota_split_scheme=split, truncation=truncation,
+        )
+        generate_market(cfg, seed=3)
+    generate_market(GenConfig(n_resources=0, region_scheme="partition"), seed=3)

@@ -62,6 +62,7 @@ from capmatch.blocking import (
     SEAT,
     _require_auditable,
 )
+from capmatch._draws import Draws
 from capmatch.cutoffs import CutoffProfile
 from capmatch.experiments import aggregate, results_to_json, table_csv, table_text
 from capmatch.generate import ALIGNMENTS, BALANCES, SEMI_SAMPLERS, _grid_order
@@ -367,13 +368,16 @@ def test_grid_order_matches_the_sorted_frontier_reference():
     for c, r in itertools.product(range(1, 13), (0, 1, 2, 5, 9)):
         cfg = GenConfig(n_students=c, n_colleges=c, n_resources=r)
         quality = np.arange(1, c + 1, dtype=float)
-        rng, ref_rng = (np.random.default_rng(c * 100 + r) for _ in range(2))
+        draws = Draws(c * 100 + r)
+        ref_rng = np.random.default_rng(c * 100 + r)
         for _ in range(3):
             for weights in (quality, None):
-                got = _grid_order(cfg, rng, weights)
+                live_weights = None if weights is None else range(1, c + 1)
+                got = _grid_order(cfg, draws, live_weights)
                 assert got == reference_grid_order(cfg, ref_rng, weights), (c, r)
                 checked += 1
-        assert rng.random() == ref_rng.random(), (c, r)
+        assert draws.random() == ref_rng.random(), (c, r)
+        assert draws.integers(1000) == ref_rng.integers(1000), (c, r)
     assert checked == 360
 
 
