@@ -8,8 +8,8 @@ A change that moves one of them changes behaviour and must say so;
 re-pinning a digest to get a green run is not allowed.
 
 The differential tests hold all six mechanisms (`run_irc`, `run_imc`,
-`run_idc`, `run_iuc`, `run_rsd`, `run_csd`), the grid sampler, the
-unaligned preference lists, the audit's domination-witness search, the
+`run_idc`, `run_iuc`, `run_rsd`, `run_csd`), the grid sampler, whole
+generated markets, the audit's domination-witness search, the
 census's Pareto scan, the `Market` constructor's lookup tables and
 `validate_market` to reference copies of their original loops, and
 `dumps_market` to the `json.dumps` writer it replaced: same inputs, same
