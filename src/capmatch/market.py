@@ -455,9 +455,6 @@ def market_to_dict(m: Market) -> dict:
     }
 
 
-_MARKET_KEYS = ("colleges", "preferences", "priorities", "resources", "students")
-
-
 def market_from_dict(d: dict) -> Market:
     """Read market_to_dict's layout back.
 
@@ -465,7 +462,8 @@ def market_from_dict(d: dict) -> Market:
         ValueError: d is not that layout, or its lists do not fit together;
             the message names the first bad key.
     """
-    _require_keys("market", d, _MARKET_KEYS)
+    keys = ("colleges", "preferences", "priorities", "resources", "students")
+    _require_keys("market", d, keys)
     _require_int("market key 'students'", d["students"])
     for key in ("colleges", "resources", "priorities", "preferences"):
         if not isinstance(d[key], list):
