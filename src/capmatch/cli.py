@@ -207,7 +207,9 @@ def main(argv=None) -> int:
     try:
         return args.fn(args)
     except (OSError, ValueError, KeyError, RuntimeError) as exc:
-        print(f"capmatch: error: {exc}", file=sys.stderr)
+        # str() of a KeyError quotes its message, so print the message itself
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"capmatch: error: {message}", file=sys.stderr)
         return 1
 
 

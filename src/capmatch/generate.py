@@ -208,17 +208,18 @@ def _priorities(cfg: GenConfig, draws: Draws) -> list[list[int]]:
     return [draws.permutation(n) for _ in range(c)]
 
 
-@functools.lru_cache(maxsize=64)
 def _unaligned_pairs(c: int, r: int):
     """The slot template of _unaligned_order, and per college its non-empty
-    pairs and its empty pair, built once per shape."""
+    pairs and its empty pair, built once per market, so that the market's
+    students share one tuple per pair."""
     slots = tuple(ci for ci in range(c) for _ in range(r + 1))
     pairs = tuple(tuple((ci, ri) for ri in range(1, r + 1)) for ci in range(c))
     return slots, pairs, tuple((ci, EMPTY_RESOURCE) for ci in range(c))
 
 
-def _unaligned_order(cfg: GenConfig, draws: Draws) -> list[tuple[int, int]]:
-    """Uniform order over all pairs with each college's empty pair last.
+def _unaligned_order(draws: Draws, slots, pairs, empties) -> list[tuple[int, int]]:
+    """Uniform order over all pairs with each college's empty pair last, from
+    the template _unaligned_pairs builds.
 
     Equivalent to picking, independently and uniformly, an interleaving of
     the colleges' pair slots and a within-college order of the non-empty
@@ -226,7 +227,6 @@ def _unaligned_order(cfg: GenConfig, draws: Draws) -> list[tuple[int, int]]:
     draws are those of numpy's shuffle of the slot array, then of each
     college's resources 1..r in college order.
     """
-    slots, pairs, empties = _unaligned_pairs(cfg.n_colleges, cfg.n_resources)
     slots = list(slots)
     draws.shuffle(slots)
     nexts = []
@@ -285,7 +285,8 @@ def _preferences(cfg: GenConfig, draws: Draws) -> list[list[tuple[int, int]]]:
     """Every student's list, truncated as cfg says; each list's truncation
     is drawn right after its order."""
     if cfg.alignment in ("none", "college_full"):
-        sample = functools.partial(_unaligned_order, cfg, draws)
+        template = _unaligned_pairs(cfg.n_colleges, cfg.n_resources)
+        sample = functools.partial(_unaligned_order, draws, *template)
     else:
         weights = None
         if cfg.alignment == "student_semi" and cfg.semi_sampler == "quality":

@@ -19,9 +19,9 @@ irc keeps its drawable entries as a sorted index list, so a draw costs one
 index and a bisect instead of a scan of every entry.
 
 imc, idc and iuc share one pass loop: a random order over their colleges or
-entries, visited in full, repeated until a pass changes nothing. imc reads
-each (entries, size) subset list from a bounded cache instead of rebuilding
-it per visit.
+entries, visited in full, repeated until a pass changes nothing. imc builds
+each level's candidate subsets where it visits them, and a size that offers
+one candidate subset draws nothing.
 
 rsd lets students pick their favorite still-feasible contract in a random
 order. csd repeatedly grants, among all unmatched students' current favorite
@@ -47,7 +47,6 @@ import itertools
 from bisect import bisect_left, insort
 from collections import deque
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 from ._draws import Draws
@@ -205,36 +204,32 @@ def run_irc(m: Market, seed: Optional[int] = None) -> RunTrace:
     return eng.finish("irc", seed)
 
 
-@lru_cache(maxsize=4096)
-def _subsets(members: tuple[int, ...], size: int) -> tuple[tuple[int, ...], ...]:
-    """Every size-subset of members, in itertools.combinations order."""
-    return tuple(itertools.combinations(members, size))
-
-
 def _imc_college_step(eng: _Engine, c: int, draws: Draws) -> bool:
     """One IMC visit to college c: scan cutoff values bottom up and apply the
     first feasible simultaneous raise of a largest-possible entry subset.
 
     At each value level, subsets are searched in decreasing size and in
-    random order within a size. Whenever the empty-resource entry sits at the
-    level, every candidate subset must contain it (a non-empty entry may
-    never climb above the empty-resource entry). Scanning upward past a stuck
-    bottom level keeps the college moving when only its higher-valued entries
-    can still advance; termination then certifies that no single coupled
-    increment is feasible anywhere, i.e. the profile is optimal.
+    random order within a size; a size with one candidate subset draws
+    nothing, as a one-item shuffle reads no word. Whenever the empty-resource
+    entry sits at the level, every candidate subset must contain it (a
+    non-empty entry may never climb above the empty-resource entry).
+    Scanning upward past a stuck bottom level keeps the college moving when
+    only its higher-valued entries can still advance; termination then
+    certifies that no single coupled increment is feasible anywhere, i.e.
+    the profile is optimal.
     """
-    m = eng.m
     row = eng.K[c]
-    n = m.n_students
-    values = sorted({val for val in row if val < n})
-    for v in values:
-        members = tuple(r for r in range(len(row)) if row[r] == v)
-        # EMPTY_RESOURCE is entry 0, so it leads members when it is one
+    n = eng.m.n_students
+    for v in sorted(set(row)):
+        if v == n:
+            break
+        # EMPTY_RESOURCE is entry 0; a subset must be non-empty, so the free
+        # part may be empty only when the empty-resource entry is fixed in it
         fixed = (EMPTY_RESOURCE,) if row[EMPTY_RESOURCE] == v else ()
-        free = members[len(fixed):]
-        for size in range(len(members), 0, -1):
-            combos = _subsets(free, size - len(fixed))
-            for i in draws.permutation(len(combos)):
+        free = [r for r in range(1, len(row)) if row[r] == v]
+        for k in range(len(free), -len(fixed), -1):
+            combos = list(itertools.combinations(free, k))
+            for i in draws.permutation(len(combos)) if len(combos) > 1 else (0,):
                 if eng.try_raise(c, fixed + combos[i]):
                     return True
     return False

@@ -263,6 +263,18 @@ def test_oracle_argument_errors(capsys):
     assert "error" in err
 
 
+def test_oracle_names_an_unknown_fixture_without_quotes(capsys):
+    from capmatch.fixtures import fixture_names
+
+    assert main(["oracle", "--fixture", "nope"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "capmatch: error: unknown fixture 'nope'; available: "
+        f"{', '.join(fixture_names())}\n"
+    )
+
+
 def test_fixtures_listing(capsys):
     assert main(["fixtures"]) == 0
     out = capsys.readouterr().out

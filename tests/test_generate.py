@@ -7,7 +7,12 @@ import pytest
 
 from capmatch import GenConfig, generate_market, validate_market
 from capmatch._draws import Draws
-from capmatch.generate import ALIGNMENTS, _grid_order, _unaligned_order
+from capmatch.generate import (
+    ALIGNMENTS,
+    _grid_order,
+    _unaligned_order,
+    _unaligned_pairs,
+)
 from capmatch.market import dumps_market
 
 
@@ -209,7 +214,7 @@ def test_grid_and_unaligned_orders_are_permutations_of_all_pairs():
     every = {(c, r) for c in range(3) for r in range(3)}
     for _ in range(50):
         assert set(_grid_order(cfg, draws, None)) == every
-        assert set(_unaligned_order(cfg, draws)) == every
+        assert set(_unaligned_order(draws, *_unaligned_pairs(3, 2))) == every
 
 
 def test_resource_free_configs_work():

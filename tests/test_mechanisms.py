@@ -149,6 +149,25 @@ def test_max_cutoffs_scan_all_value_levels():
         assert is_optimal(m, tr.profile)
 
 
+def test_imc_draws_only_when_a_level_offers_a_choice(monkeypatch):
+    # a one-item shuffle reads no word, so IMC skips it; the traces are held
+    # to the drawing reference in tests/test_golden.py
+    import capmatch.mechanisms as mech
+
+    lengths = []
+
+    class Counting(mech.Draws):
+        def permutation(self, n):
+            lengths.append(n)
+            return super().permutation(n)
+
+    monkeypatch.setattr(mech, "Draws", Counting)
+    for seed in range(5):
+        m = generate_market(GenConfig(n_students=30, n_colleges=4), seed=seed)
+        run_imc(m, seed=seed)
+    assert lengths and min(lengths) >= 2
+
+
 def test_zero_resource_markets_reduce_to_deferred_acceptance():
     m = load_fixture("prop8_market2")
     da = college_proposing_da(m)
