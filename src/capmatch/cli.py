@@ -208,7 +208,7 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (OSError, ValueError, KeyError, RuntimeError) as exc:
         # str() of a KeyError quotes its message, so print the message itself
-        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        message = exc.args[0] if isinstance(exc, KeyError) else exc
         print(f"capmatch: error: {message}", file=sys.stderr)
         return 1
 
