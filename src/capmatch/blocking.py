@@ -44,6 +44,7 @@ from .market import (
     Market,
     Matching,
     Pair,
+    _require_known_pairs,
     fits,
     is_feasible,
 )
@@ -164,6 +165,7 @@ def _dominating_witness(
 
 
 def _require_auditable(m: Market, mu: Matching) -> None:
+    _require_known_pairs(m)
     if not is_feasible(m, mu):  # raises on unknown ids first
         raise ValueError("matching is not feasible")
     if not all(m.acceptable(s, c, r) for s, c, r in mu):
@@ -316,7 +318,8 @@ def audit(m: Market, mu: Matching) -> BlockingReport:
     with their victims and directness).
 
     Raises:
-        ValueError: mu is infeasible or not individually rational.
+        ValueError: some student of m lists an unknown college or resource,
+            or mu is infeasible or not individually rational.
     """
     _require_auditable(m, mu)
     st = _State(m, mu)

@@ -37,8 +37,18 @@ from .fixtures import (
     fixture_names,
     load_fixture,
 )
-from .market import dumps_market, load_market, validate_market
+from .market import dumps_market, load_market, matching_to_list, validate_market
 from .oracle import census
+
+# the index sets of a StabilityCensus, as `oracle` prints them
+CENSUS_SETS = (
+    "stable",
+    "envy_free",
+    "non_wasteful",
+    "weakly_stable",
+    "direct_envy_stable",
+    "pareto_efficient",
+)
 
 
 def _load_config(path: str, seed_override) -> ExperimentConfig:
@@ -126,23 +136,14 @@ def cmd_oracle(args) -> int:
     doc = {
         "market": label,
         "n_matchings": len(result.matchings),
-        "stable": list(result.stable),
-        "envy_free": list(result.envy_free),
-        "non_wasteful": list(result.non_wasteful),
-        "weakly_stable": list(result.weakly_stable),
-        "direct_envy_stable": list(result.direct_envy_stable),
-        "pareto_efficient": list(result.pareto_efficient),
-        "matchings": [
-            [[x.student, x.college, x.resource] for x in mu]
-            for mu in result.matchings
+        "matchings": [matching_to_list(mu) for mu in result.matchings],
+        "reports": [
+            rep.to_dict(verbose_witnesses=args.verbose_witnesses)
+            for rep in result.reports
         ],
     }
-    if args.verbose_witnesses:
-        doc["reports"] = [
-            rep.to_dict(verbose_witnesses=True) for rep in result.reports
-        ]
-    else:
-        doc["reports"] = [rep.to_dict() for rep in result.reports]
+    for flag in CENSUS_SETS:
+        doc[flag] = list(getattr(result, flag))
     if args.fixture:
         checks = {}
         for flag, want in FIXTURE_EXPECTATIONS[args.fixture].items():

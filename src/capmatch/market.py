@@ -15,6 +15,7 @@ rationality = every student finds her own contract acceptable.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from itertools import chain, compress, repeat
 from operator import le, lt
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -121,9 +122,15 @@ class Market:
             prefs = tuple(tuple((int(c), int(r)) for (c, r) in p) for p in prefs)
             pairs = set().union(*prefs)
         self.preferences = prefs
-        # every distinct (c, r) some student lists: validate_market reads
-        # unknown ids off it instead of walking every pair
+        # every distinct (c, r) some student lists, and those naming an
+        # unknown college or resource: validate_market and the entry points
+        # that refuse such a market read them instead of walking every pair
         self._pairs = frozenset(pairs)
+        self._unknown_pairs = frozenset(
+            p
+            for p in pairs
+            if not (0 <= p[0] < self.n_colleges and 0 <= p[1] <= self.n_resources)
+        )
 
         # rank lookup: _rank[c][s] = 1-based position of s in c's list, or None.
         # Permissive: duplicate entries keep the first position, missing
@@ -179,6 +186,8 @@ class Market:
 
     def with_student_preferences(self, s: int, pairs: Sequence[Pair]) -> "Market":
         """Copy of the market with student s's list replaced (for probes)."""
+        if not (0 <= s < self.n_students):
+            raise ValueError(f"unknown student id {s}")
         prefs = list(self.preferences)
         prefs[s] = tuple((int(c), int(r)) for (c, r) in pairs)
         return Market(
@@ -234,33 +243,32 @@ def prefers(m: Market, s: int, a: Optional[Pair], b: Optional[Pair]) -> bool:
 class Matching:
     """Immutable set of contracts with at most one contract per student.
 
-    contracts is the public frozenset; equality and hashing go through it.
-    The matching also keeps the contracts as one sorted tuple, which
-    iteration and len() read, and a per-student lookup. It keeps no
-    per-college or per-resource data: is_feasible and the audit count
-    their own in one pass over the sorted contracts.
+    The contracts are held once, as a tuple sorted by student: equality,
+    hashing, iteration, len() and `in` read it, and student_contract
+    bisects it. contracts builds a frozenset of them on each access. The
+    matching keeps no per-college or per-resource data: is_feasible and
+    the audit count their own in one pass over the sorted contracts.
     """
 
-    __slots__ = ("contracts", "_items", "_by_student")
+    __slots__ = ("_items",)
 
     def __init__(self, contracts: Iterable[Contract] = ()):
         items = tuple(sorted(Contract(*x) for x in contracts))
-        by_student = {x.student: x for x in items}
-        if len(by_student) < len(items):
-            # sorted, so the first repeat is the lowest such student
-            s = next(
-                a.student for a, b in zip(items, items[1:]) if a.student == b.student
-            )
-            raise ValueError(f"student {s} holds two contracts")
-        self.contracts: frozenset[Contract] = frozenset(items)
+        for a, b in zip(items, items[1:]):
+            if a.student == b.student:  # sorted: the lowest such student
+                raise ValueError(f"student {a.student} holds two contracts")
         self._items = items
-        self._by_student = by_student
+
+    @property
+    def contracts(self) -> frozenset[Contract]:
+        return frozenset(self._items)
 
     def student_contract(self, s: int) -> Optional[Contract]:
-        return self._by_student.get(s)
+        i = bisect_left(self._items, (s,))  # (s,) sorts just before (s, c, r)
+        return next((x for x in self._items[i : i + 1] if x.student == s), None)
 
     def __contains__(self, x) -> bool:
-        return x in self.contracts
+        return x in self._items
 
     def __iter__(self):
         return iter(self._items)
@@ -271,10 +279,10 @@ class Matching:
     def __eq__(self, other):
         if not isinstance(other, Matching):
             return NotImplemented
-        return self.contracts == other.contracts
+        return self._items == other._items
 
     def __hash__(self):
-        return hash(self.contracts)
+        return hash(self._items)
 
     def __repr__(self):
         inner = ", ".join(f"({x.student},{x.college},{x.resource})" for x in self)
@@ -289,6 +297,20 @@ def _check_ids(m: Market, mu: Matching) -> None:
             raise ValueError(f"unknown college id {c}")
         if not (0 <= r <= m.n_resources):
             raise ValueError(f"unknown resource id {r}")
+
+
+def _require_known_pairs(m: Market) -> None:
+    """Refuse a market in which some student lists an unknown college or
+    resource: counts indexed by such an id would read a negative one from
+    the end and fail on a large one. Names the first such pair."""
+    if m._unknown_pairs:
+        s, (c, r) = next(
+            (s, p)
+            for s, prefs in enumerate(m.preferences)
+            for p in prefs
+            if p in m._unknown_pairs
+        )
+        raise ValueError(f"student {s} lists unknown pair ({c},{r})")
 
 
 def is_feasible(m: Market, mu: Matching) -> bool:
@@ -338,7 +360,7 @@ def fits(
 def is_individually_rational(m: Market, mu: Matching) -> bool:
     """True iff every matched student finds her own contract acceptable."""
     _check_ids(m, mu)
-    for x in mu.contracts:
+    for x in mu:
         if not m.acceptable(x.student, x.college, x.resource):
             return False
     return True
@@ -382,10 +404,7 @@ def validate_market(m: Market) -> list[tuple[str, str]]:
             )
         )
 
-    n_colleges, n_resources = m.n_colleges, m.n_resources
-    unknown = {
-        p for p in m._pairs if not (0 <= p[0] < n_colleges and 0 <= p[1] <= n_resources)
-    }
+    unknown = m._unknown_pairs
     # the empty-resource pair of each listed pair's college
     empty_of = {p: (p[0], EMPTY_RESOURCE) for p in m._pairs}
     for s, (prefs, pos_map) in enumerate(zip(m.preferences, m._pref_pos)):

@@ -51,7 +51,14 @@ from typing import Callable, Optional, Sequence
 
 from ._draws import Draws
 from .cutoffs import CutoffProfile, coupled_entries, induced_matching
-from .market import EMPTY_RESOURCE, Contract, Market, Matching, fits
+from .market import (
+    EMPTY_RESOURCE,
+    Contract,
+    Market,
+    Matching,
+    _require_known_pairs,
+    fits,
+)
 
 MECHANISM_ORDER = ("irc", "imc", "idc", "iuc", "rsd", "csd")
 
@@ -87,7 +94,9 @@ def replay_trace(m: Market, trace: RunTrace) -> Matching:
 
 def _require_runnable(m: Market) -> None:
     """Mechanisms index priority lists positionally, so they must be
-    permutations (worked out once, when the market is built)."""
+    permutations, and count by the listed ids, so those must be known (both
+    worked out once, when the market is built)."""
+    _require_known_pairs(m)
     if m._non_permutation_priorities:
         c = m._non_permutation_priorities[0]
         raise ValueError(f"college {c} priority list is not a permutation")

@@ -23,7 +23,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .blocking import BlockingReport, audit
-from .market import Contract, Market, Matching, fits
+from .market import Contract, Market, Matching, _require_known_pairs, fits
 
 DEFAULT_BOUND = 10_000_000
 # cells of one block of the domination test: about 4M booleans per array
@@ -43,8 +43,10 @@ def enumerate_matchings(m: Market, bound: int = DEFAULT_BOUND) -> list[Matching]
     pruning is exact. The result is duplicate-free by construction.
 
     Raises:
+        ValueError: some student lists an unknown college or resource.
         OracleBoundError: the unpruned choice tree exceeds `bound` leaves.
     """
+    _require_known_pairs(m)
     sizes = [len(m.preferences[s]) + 1 for s in range(m.n_students)]
     if prod(sizes) > bound:
         raise OracleBoundError(
@@ -81,7 +83,7 @@ def _position_matrix(m: Market, matchings: Sequence[Matching]) -> np.ndarray:
     rows = []
     for mu in matchings:
         row = lengths.copy()
-        for s, c, r in mu.contracts:
+        for s, c, r in mu:
             row[s] = m._pref_pos[s].get((c, r), lengths[s] + 1)
         rows.append(row)
     return np.array(rows, dtype=np.int64)
@@ -192,8 +194,11 @@ def strategyproofness_probe(
     misreport, the order (rsd only), and the before/after assignments.
 
     Raises:
+        ValueError: student is not one of the market's ids.
         OracleBoundError: misreports x orders would exceed `bound` runs.
     """
+    if not (0 <= student < m.n_students):
+        raise ValueError(f"unknown student id {student}")
     true_pairs = m.preferences[student]
     n_reports = sum(
         prod(range(len(true_pairs) - k + 1, len(true_pairs) + 1))

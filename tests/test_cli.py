@@ -1,5 +1,6 @@
 """CLI: the generate / run / table pipeline and the census viewer."""
 
+import hashlib
 import json
 
 import pytest
@@ -170,6 +171,26 @@ def test_oracle_verbose_witnesses(capsys):
     assert main(["oracle", "--fixture", "example1", "--verbose-witnesses"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert len(doc["reports"][0]["waste_witnesses"]) == 4
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (
+            ["--fixture", "prop4"],
+            "9444e8ab59cb5f4bed748772d5904d08379249917116e977daaa36c964aa77e3",
+        ),
+        (
+            ["--fixture", "example1", "--verbose-witnesses"],
+            "b3559f46b989b7dde035a4456c6b5e8fdf1a433300b5f338b105eb909b6cb4db",
+        ),
+    ],
+    ids=["prop4", "example1-verbose"],
+)
+def test_oracle_output_bytes_are_pinned(argv, digest, capsys):
+    assert main(["oracle", *argv]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_oracle_on_a_market_file(tmp_path, capsys):

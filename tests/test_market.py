@@ -3,19 +3,24 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from capmatch import (
     EMPTY_RESOURCE,
+    MECHANISMS,
     Contract,
     GenConfig,
     Market,
     Matching,
     audit,
+    census,
     enumerate_matchings,
     fixture_names,
     generate_market,
     is_feasible,
     is_individually_rational,
+    is_pareto_efficient,
     load_fixture,
     prefers,
     rank,
@@ -145,6 +150,46 @@ def test_matching_containers_and_equality():
     assert Matching([[1, 0, 1], (0, 1, 0)]) == mu
 
 
+def test_a_matching_holds_its_contracts_once():
+    mu = Matching([Contract(1, 0, 1), Contract(0, 1, 0)])
+    assert Matching.__slots__ == ("_items",)
+    assert not hasattr(mu, "__dict__")
+    assert mu.contracts == frozenset({Contract(0, 1, 0), Contract(1, 0, 1)})
+    with pytest.raises(AttributeError):
+        mu.contracts = frozenset()
+
+
+# one contract per student: a dict from student id to (college, resource)
+ONE_PER_STUDENT = st.dictionaries(
+    st.integers(0, 30), st.tuples(st.integers(0, 4), st.integers(0, 3)), max_size=12
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=ONE_PER_STUDENT, data=st.data())
+def test_matching_agrees_with_a_set_and_dict_model(rows, data):
+    contracts = [Contract(s, c, r) for s, (c, r) in rows.items()]
+    model = frozenset(contracts)
+    by_student = {x.student: x for x in contracts}
+    mu = Matching(contracts)
+    shuffled = Matching(data.draw(st.permutations(contracts)))
+    assert mu == shuffled and hash(mu) == hash(shuffled)
+    assert mu.contracts == model and type(mu.contracts) is frozenset
+    assert len(mu) == len(model)
+    assert list(mu) == sorted(model)
+    for x in contracts:
+        assert x in mu and tuple(x) in mu
+        assert Contract(x.student, x.college + 1, x.resource) not in mu
+        assert (x.student, x.college, x.resource + 1) not in mu
+    if contracts:
+        assert Matching(contracts[1:]) != mu
+    absent = data.draw(st.sampled_from([s for s in range(32) if s not in rows]))
+    students = sorted(rows)
+    probes = [absent, -1, -len(rows) - 1, 31, 10**6] + students[:1] + students[-1:]
+    for s in probes:
+        assert mu.student_contract(s) == by_student.get(s)
+
+
 def test_feasibility_checks_quotas_and_regions():
     m = tiny_market()
     assert is_feasible(m, Matching([Contract(0, 0, 1)]))
@@ -233,6 +278,52 @@ def test_with_student_preferences_is_a_copy():
     assert m2.preferences[0] == ((1, 1),)
     assert m2.preferences[1] == m.preferences[1]
     assert m != m2
+
+
+@pytest.mark.parametrize("s", [-1, -2, 2])
+def test_with_student_preferences_refuses_an_unknown_student(s):
+    with pytest.raises(ValueError, match=f"^unknown student id {s}$"):
+        tiny_market().with_student_preferences(s, [(1, 1)])
+
+
+def market_listing(pair):
+    """tiny_market's shape with student 0 listing pair above (0, 0)."""
+    return Market(
+        2, [1, 1], [1], [[0, 1]], [(0, 1), (1, 0)],
+        [(pair, (0, 0)), ((0, 1), (1, 0))],
+    )
+
+
+ENTRY_POINTS = {
+    **{name: (lambda m, run=run: run(m, seed=0)) for name, run in MECHANISMS.items()},
+    "enumerate_matchings": enumerate_matchings,
+    "census": census,
+    "is_pareto_efficient": lambda m: is_pareto_efficient(m, Matching()),
+    "audit": lambda m: audit(m, Matching([Contract(0, 0, 0)])),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+@pytest.mark.parametrize(
+    "pair", [(-1, 0), (5, 0), (0, -1), (0, 2)],
+    ids=["negative-college", "college-5", "negative-resource", "resource-2"],
+)
+def test_entry_points_refuse_a_list_naming_an_unknown_id(entry, pair):
+    m = market_listing(pair)
+    assert any(sev == "error" for sev, _ in validate_market(m))
+    message = rf"^student 0 lists unknown pair \({pair[0]},{pair[1]}\)$"
+    with pytest.raises(ValueError, match=message):
+        ENTRY_POINTS[entry](m)
+
+
+def test_the_refusal_names_the_first_listed_unknown_pair():
+    m = Market(
+        3, [1, 1], [1], [[0, 1]], [(0, 1, 2), (2, 1, 0)],
+        [((0, 0),), ((1, 0), (9, 1), (0, 7)), ((0, 7),)],
+    )
+    assert m._unknown_pairs == {(9, 1), (0, 7)}
+    with pytest.raises(ValueError, match=r"^student 1 lists unknown pair \(9,1\)$"):
+        enumerate_matchings(m)
 
 
 VALIDATION_EXPECTATIONS = {

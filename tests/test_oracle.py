@@ -175,6 +175,15 @@ def test_probe_clears_rsd_on_tiny_markets():
             assert strategyproofness_probe(m, "rsd", student=s) is None, (name, s)
 
 
+@pytest.mark.parametrize("student", [-2, -1, 2])
+def test_probe_refuses_an_unknown_student(student):
+    m = load_fixture("prop8_market2")
+    # student 0 has a profitable misreport; -2 must not be read as student 0
+    assert strategyproofness_probe(m, "irc", student=0, seed=0) is not None
+    with pytest.raises(ValueError, match=f"^unknown student id {student}$"):
+        strategyproofness_probe(m, "irc", student=student, seed=0)
+
+
 def test_probe_bound_guard():
     m = load_fixture("prop2")
     with pytest.raises(OracleBoundError):
