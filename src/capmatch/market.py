@@ -244,11 +244,9 @@ class Matching:
     """Immutable set of contracts with at most one contract per student.
 
     The contracts are held once, as a tuple sorted by student: equality,
-    hashing, iteration, len() and `in` read it, and student_contract
-    bisects it. contracts builds a frozenset of them on each access. The
-    matching keeps no per-college or per-resource data: is_feasible and
-    the audit count their own in one pass over the sorted contracts.
-    """
+    hashing, iteration, len() and `in` read it, student_contract bisects
+    it, and contracts copies it into a frozenset. is_feasible and the
+    audit count colleges and resources in one pass over it."""
 
     __slots__ = ("_items",)
 
@@ -265,7 +263,9 @@ class Matching:
 
     def student_contract(self, s: int) -> Optional[Contract]:
         i = bisect_left(self._items, (s,))  # (s,) sorts just before (s, c, r)
-        return next((x for x in self._items[i : i + 1] if x.student == s), None)
+        if i < len(self._items) and self._items[i].student == s:
+            return self._items[i]
+        return None
 
     def __contains__(self, x) -> bool:
         return x in self._items
