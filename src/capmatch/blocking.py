@@ -166,7 +166,7 @@ def _dominating_witness(
 
 def _require_auditable(m: Market, mu: Matching) -> None:
     _require_known_pairs(m)
-    if not is_feasible(m, mu):  # raises on unknown ids first
+    if not is_feasible(m, mu):  # raises on mu's unknown ids first
         raise ValueError("matching is not feasible")
     if not all(m.acceptable(s, c, r) for s, c, r in mu):
         raise ValueError("matching is not individually rational")
