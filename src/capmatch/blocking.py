@@ -35,7 +35,7 @@ Stability notions audited:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from .market import (
@@ -276,16 +276,8 @@ class BlockingReport:
 
     @property
     def flags(self) -> dict[str, bool]:
-        return {
-            "stable": self.stable,
-            "envy_free": self.envy_free,
-            "direct_envy_free": self.direct_envy_free,
-            "non_wasteful": self.non_wasteful,
-            "seat_efficient": self.seat_efficient,
-            "resource_efficient": self.resource_efficient,
-            "weakly_stable": self.weakly_stable,
-            "direct_envy_stable": self.direct_envy_stable,
-        }
+        # the bool fields in field order (annotations are strings here)
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.type == "bool"}
 
     def to_dict(self, verbose_witnesses: bool = False) -> dict:
         out: dict = {

@@ -38,17 +38,7 @@ from .fixtures import (
     load_fixture,
 )
 from .market import dumps_market, load_market, matching_to_list, validate_market
-from .oracle import census
-
-# the index sets of a StabilityCensus, as `oracle` prints them
-CENSUS_SETS = (
-    "stable",
-    "envy_free",
-    "non_wasteful",
-    "weakly_stable",
-    "direct_envy_stable",
-    "pareto_efficient",
-)
+from .oracle import CENSUS_SETS, census
 
 
 def _load_config(path: str, seed_override) -> ExperimentConfig:

@@ -19,7 +19,14 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .blocking import audit
-from .market import EMPTY_RESOURCE, Contract, Market, Matching, is_feasible
+from .market import (
+    EMPTY_RESOURCE,
+    Contract,
+    Market,
+    Matching,
+    _require_id,
+    is_feasible,
+)
 
 
 class CutoffProfile:
@@ -128,8 +135,10 @@ def increment(m: Market, k: CutoffProfile, c: int, r: int) -> CutoffProfile:
     single entry.
 
     Raises:
-        ValueError: the entry is already at n_students.
+        ValueError: c or r is unknown, or the entry is already at n_students.
     """
+    _require_id("college", c, m.n_colleges)
+    _require_id("resource", r, m.n_resources + 1)
     if k.values[c][r] >= m.n_students:
         raise ValueError(f"cutoff K[{c}][{r}] is already maximal")
     rows = [list(row) for row in k.values]

@@ -68,6 +68,13 @@ def _distinct_pairs(prefs: Sequence[tuple]) -> Optional[set]:
     return pairs
 
 
+def _require_id(kind: str, i: int, stop: int, start: int = 0) -> None:
+    """Refuse an id outside start..stop-1: a negative one would read a list
+    from its end."""
+    if not (start <= i < stop):
+        raise ValueError(f"unknown {kind} id {i}")
+
+
 class Market:
     """Immutable market instance.
 
@@ -156,18 +163,24 @@ class Market:
 
     def resource_quota(self, r: int) -> int:
         """Quota of non-empty resource r (r >= 1)."""
+        _require_id("non-empty resource", r, self.n_resources + 1, 1)
         return self.resource_quotas[r - 1]
 
     def region(self, r: int) -> frozenset[int]:
         """Region of non-empty resource r (r >= 1)."""
+        _require_id("non-empty resource", r, self.n_resources + 1, 1)
         return self.regions[r - 1]
 
     def in_region(self, c: int, r: int) -> bool:
         """True iff college c may distribute resource r (always for r = 0)."""
+        _require_id("college", c, self.n_colleges)
+        _require_id("resource", r, self.n_resources + 1)
         return r == EMPTY_RESOURCE or c in self.regions[r - 1]
 
     def acceptable(self, s: int, c: int, r: int) -> bool:
         """True iff (c, r) appears in student s's preference list."""
+        if not (0 <= s < self.n_students):  # inline: the audit's hot path
+            raise ValueError(f"unknown student id {s}")
         return (c, r) in self._pref_pos[s]
 
     def pref_position(self, s: int, pair: Optional[Pair]) -> int:
@@ -177,6 +190,8 @@ class Market:
         length, unlisted pairs get length + 1. Smaller is better, so this
         makes "unmatched" strictly better than any unacceptable contract.
         """
+        if not (0 <= s < self.n_students):  # inline: the audit's hot path
+            raise ValueError(f"unknown student id {s}")
         if pair is None:
             return len(self.preferences[s])
         pos = self._pref_pos[s].get(pair)
@@ -186,8 +201,7 @@ class Market:
 
     def with_student_preferences(self, s: int, pairs: Sequence[Pair]) -> "Market":
         """Copy of the market with student s's list replaced (for probes)."""
-        if not (0 <= s < self.n_students):
-            raise ValueError(f"unknown student id {s}")
+        _require_id("student", s, self.n_students)
         prefs = list(self.preferences)
         prefs[s] = tuple((int(c), int(r)) for (c, r) in pairs)
         return Market(
@@ -222,8 +236,10 @@ def rank(m: Market, c: int, s: int) -> int:
     """1-based position of student s in college c's priority order.
 
     Raises:
-        ValueError: if s does not appear in c's priority list.
+        ValueError: c or s is unknown, or s does not appear in c's list.
     """
+    _require_id("college", c, m.n_colleges)
+    _require_id("student", s, m.n_students)
     r = m._rank[c][s]
     if r is None:
         raise ValueError(f"student {s} not ranked by college {c}")

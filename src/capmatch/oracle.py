@@ -15,9 +15,9 @@ runs column by column over blocks of rows, so its memory stays bounded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import permutations
-from math import factorial, prod
+from math import factorial, perm, prod
 from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
@@ -142,30 +142,28 @@ class StabilityCensus:
     pareto_efficient: tuple[int, ...]
 
     def set_of(self, name: str) -> list[Matching]:
-        idx: tuple[int, ...] = getattr(self, name)
-        return [self.matchings[i] for i in idx]
+        """The matchings in one of CENSUS_SETS; AttributeError for any other name."""
+        if name not in CENSUS_SETS:
+            raise AttributeError(f"a census has no set {name!r}")
+        return [self.matchings[i] for i in getattr(self, name)]
+
+
+# the census's index sets, in `capmatch oracle`'s order: the fields after reports
+CENSUS_SETS = tuple(f.name for f in fields(StabilityCensus))[2:]
 
 
 def census(m: Market, bound: int = DEFAULT_BOUND) -> StabilityCensus:
     """Enumerate, audit, and classify every feasible IR matching."""
     matchings = enumerate_matchings(m, bound)
     reports = [audit(m, mu) for mu in matchings]
-
-    def pick(flag: str) -> tuple[int, ...]:
-        return tuple(i for i, rep in enumerate(reports) if getattr(rep, flag))
-
     P = _position_matrix(m, matchings)
     pareto = tuple(int(i) for i in np.flatnonzero(~_dominated_rows(P, P)))
-    return StabilityCensus(
-        matchings=tuple(matchings),
-        reports=tuple(reports),
-        stable=pick("stable"),
-        envy_free=pick("envy_free"),
-        non_wasteful=pick("non_wasteful"),
-        weakly_stable=pick("weakly_stable"),
-        direct_envy_stable=pick("direct_envy_stable"),
-        pareto_efficient=pareto,
+    # every set but the last, the Pareto skyline, is a report flag
+    flagged = (
+        tuple(i for i, rep in enumerate(reports) if getattr(rep, name))
+        for name in CENSUS_SETS[:-1]
     )
+    return StabilityCensus(tuple(matchings), tuple(reports), *flagged, pareto)
 
 
 def _misreports(pairs: Sequence[tuple[int, int]]):
@@ -200,49 +198,49 @@ def strategyproofness_probe(
     if not (0 <= student < m.n_students):
         raise ValueError(f"unknown student id {student}")
     true_pairs = m.preferences[student]
-    n_reports = sum(
-        prod(range(len(true_pairs) - k + 1, len(true_pairs) + 1))
-        for k in range(len(true_pairs) + 1)
-    )
+    n_reports = sum(perm(len(true_pairs), k) for k in range(len(true_pairs) + 1))
 
     from .mechanisms import MECHANISMS, run_rsd
 
     rsd = mechanism == "rsd"
-    named = MECHANISMS[mechanism] if isinstance(mechanism, str) and not rsd else None
     # count the serial orders before building any: n! outgrows memory fast
     n_orders = factorial(m.n_students) if rsd else 1
     if n_reports * n_orders > bound:
         raise OracleBoundError(
             f"{n_reports} misreports x {n_orders} orders exceeds {bound}"
         )
-    orders = list(permutations(range(m.n_students))) if rsd else [None]
+    # order -> runner: every serial order for rsd, the one key None otherwise
+    if rsd:
+        runners = {
+            order: lambda mm, order=order: run_rsd(mm, order=order).matching
+            for order in permutations(range(m.n_students))
+        }
+    elif isinstance(mechanism, str):
+        named = MECHANISMS[mechanism]
+        runners = {None: lambda mm: named(mm, seed=seed).matching}
+    else:
+        runners = {None: mechanism}
 
-    def outcome_pos(mm: Market, order) -> tuple[int, Optional[tuple[int, int]]]:
-        if rsd:
-            mu = run_rsd(mm, order=order).matching
-        elif named is not None:
-            mu = named(mm, seed=seed).matching
-        else:
-            mu = mechanism(mm)
-        x = mu.student_contract(student)
+    def outcome_pos(mm: Market, run) -> tuple[int, Optional[tuple[int, int]]]:
+        x = run(mm).student_contract(student)
         pair = (x.college, x.resource) if x is not None else None
         # misreported assignments are always drawn from the true acceptable
         # pairs, so the true-list position is always meaningful
         return m.pref_position(student, pair), pair
 
-    truth_by_order = [outcome_pos(m, order) for order in orders]
+    truth = {order: outcome_pos(m, run) for order, run in runners.items()}
 
     for report in _misreports(true_pairs):
-        if tuple(report) == true_pairs:
+        if report == true_pairs:
             continue
         deviated = m.with_student_preferences(student, report)
-        for oi, order in enumerate(orders):
-            dev_pos, dev_pair = outcome_pos(deviated, order)
-            true_pos, true_pair = truth_by_order[oi]
+        for order, run in runners.items():
+            dev_pos, dev_pair = outcome_pos(deviated, run)
+            true_pos, true_pair = truth[order]
             if dev_pos < true_pos:
                 return {
                     "student": student,
-                    "misreport": tuple(report),
+                    "misreport": report,
                     "order": order,
                     "truthful_assignment": true_pair,
                     "deviating_assignment": dev_pair,

@@ -79,7 +79,9 @@ def test_run_experiment_layout_and_determinism():
     cfg = ExperimentConfig(
         market=TINY, replicas=3, mechanisms=("imc", "rsd"), master_seed=17,
     )
-    results = run_experiment(cfg)
+    calls = []
+    results = run_experiment(cfg, progress=lambda *args: calls.append(args))
+    assert calls == [(1, 3), (2, 3), (3, 3)]  # once per replica, in order
     assert len(results) == 6
     assert [(r.replica, r.mechanism) for r in results] == [
         (0, "imc"), (0, "rsd"), (1, "imc"), (1, "rsd"), (2, "imc"), (2, "rsd"),
@@ -96,7 +98,10 @@ def test_a_process_pool_gives_the_serial_results():
     cfg = ExperimentConfig(
         market=TINY, replicas=3, mechanisms=("irc", "csd"), master_seed=4,
     )
-    assert run_experiment(cfg, jobs=2) == run_experiment(cfg, jobs=1)
+    calls = []
+    pooled = run_experiment(cfg, jobs=2, progress=lambda *args: calls.append(args))
+    assert pooled == run_experiment(cfg, jobs=1)
+    assert calls == [(1, 3), (2, 3), (3, 3)]
 
 
 @pytest.mark.parametrize("jobs", [0, -1])

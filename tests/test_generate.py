@@ -22,6 +22,8 @@ def test_config_validation():
         GenConfig(alignment="sideways")
     with pytest.raises(ValueError):
         GenConfig(region_scheme="random:zero")
+    with pytest.raises(ValueError, match="^random region size must be >= 1$"):
+        GenConfig(region_scheme="random:0")
     with pytest.raises(ValueError):
         GenConfig(region_scheme="clusters")
     with pytest.raises(ValueError):
@@ -120,6 +122,12 @@ def test_down_balance_can_starve_the_split():
         generate_market(cfg, seed=0)
 
 
+def test_down_balance_can_leave_a_resource_without_units():
+    cfg = GenConfig(n_students=1, n_colleges=1, resource_balance="down")
+    with pytest.raises(ValueError, match="^resource budget leaves a resource"):
+        generate_market(cfg, seed=0)  # budget 1 // 2 = 0 units
+
+
 def test_region_schemes():
     base = dict(n_students=12, n_colleges=6, n_resources=3)
     m = generate_market(GenConfig(**base, region_scheme="all"), seed=1)
@@ -127,6 +135,8 @@ def test_region_schemes():
 
     m = generate_market(GenConfig(**base, region_scheme="random:2"), seed=2)
     assert all(len(m.region(r)) == 2 for r in (1, 2, 3))
+    with pytest.raises(ValueError, match=r"^region size 7 out of range 1\.\.6$"):
+        generate_market(GenConfig(**base, region_scheme="random:7"), seed=2)
 
     m = generate_market(GenConfig(**base, region_scheme="partition"), seed=3)
     parts = [m.region(r) for r in (1, 2, 3)]

@@ -920,8 +920,29 @@ def assert_audits_match(m, mu, seen):
         seen[got[0]] += 1
 
 
+def partial_priority_markets(count=60):
+    """Random small markets whose college lists each leave students out, so
+    that a candidate's college may not rank her."""
+    rng = np.random.default_rng(5)
+    for _ in range(count):
+        n, c, r = (int(x) for x in rng.integers((2, 1, 0), (6, 4, 3)))
+        pairs = [(cc, rr) for cc in range(c) for rr in range(r + 1)]
+        yield Market(
+            n,
+            rng.integers(1, 3, size=c).tolist(),
+            rng.integers(1, 3, size=r).tolist(),
+            [rng.permutation(c)[: rng.integers(1, c + 1)] for _ in range(r)],
+            [rng.permutation(n)[: rng.integers(0, n)] for _ in range(c)],
+            [
+                [pairs[i] for i in rng.permutation(len(pairs))[: rng.integers(0, 5)]]
+                for _ in range(n)
+            ],
+        )
+
+
 def census_markets():
-    """The bundled fixtures and a few small scarce-quota generated markets."""
+    """The bundled fixtures, a few small scarce-quota generated markets and
+    markets with partial priority lists."""
     for name in fixture_names():
         yield load_fixture(name)
     cfg = GenConfig(
@@ -933,6 +954,7 @@ def census_markets():
     )
     for seed in range(6):
         yield generate_market(cfg, seed=seed)
+    yield from partial_priority_markets()
 
 
 def test_audit_matches_the_reference_on_every_census_matching():

@@ -18,6 +18,7 @@ from capmatch import (
     enumerate_matchings,
     fixture_names,
     generate_market,
+    increment,
     is_feasible,
     is_individually_rational,
     is_pareto_efficient,
@@ -25,6 +26,7 @@ from capmatch import (
     prefers,
     rank,
     validate_market,
+    zero_profile,
 )
 from capmatch.market import (
     dumps_market,
@@ -95,6 +97,41 @@ def test_pref_position_totalizes_with_unmatched_in_the_middle():
     assert prefers(m, 0, (0, 1), (1, 1))
     assert prefers(m, 0, None, (0, 0))  # unmatched beats unlisted
     assert not prefers(m, 0, (0, 1), (0, 1))  # strict
+
+
+# prop4: 3 students, 3 colleges, 1 non-empty resource. A negative id used to
+# read a list from its end, and in_region(99, 0) answered True.
+LOOKUPS = {
+    "rank-student": (lambda m: rank(m, 0, -1), "student id -1"),
+    "rank-student-high": (lambda m: rank(m, 0, 3), "student id 3"),
+    "rank-college": (lambda m: rank(m, -1, 0), "college id -1"),
+    "pref_position": (lambda m: m.pref_position(-1, None), "student id -1"),
+    "pref_position-high": (lambda m: m.pref_position(3, (0, 0)), "student id 3"),
+    "acceptable": (lambda m: m.acceptable(-1, 0, 1), "student id -1"),
+    "prefers": (lambda m: prefers(m, -1, None, (0, 0)), "student id -1"),
+    "resource_quota": (lambda m: m.resource_quota(0), "non-empty resource id 0"),
+    "resource_quota-high": (lambda m: m.resource_quota(2), "non-empty resource id 2"),
+    "region": (lambda m: m.region(0), "non-empty resource id 0"),
+    "region-negative": (lambda m: m.region(-1), "non-empty resource id -1"),
+    "in_region": (lambda m: m.in_region(99, 0), "college id 99"),
+    "in_region-college": (lambda m: m.in_region(-1, 0), "college id -1"),
+    "in_region-resource": (lambda m: m.in_region(0, 2), "resource id 2"),
+    "increment-college": (
+        lambda m: increment(m, zero_profile(m), -1, 0), "college id -1"
+    ),
+    "increment-resource": (
+        lambda m: increment(m, zero_profile(m), 0, -1), "resource id -1"
+    ),
+    "increment-resource-high": (
+        lambda m: increment(m, zero_profile(m), 0, 2), "resource id 2"
+    ),
+}
+
+
+@pytest.mark.parametrize("lookup, message", LOOKUPS.values(), ids=LOOKUPS)
+def test_lookups_refuse_an_out_of_range_id_by_name(lookup, message):
+    with pytest.raises(ValueError, match=f"^unknown {message}$"):
+        lookup(load_fixture("prop4"))
 
 
 def test_duplicate_pref_entries_keep_first_position():

@@ -178,6 +178,18 @@ def test_zero_resource_markets_reduce_to_deferred_acceptance():
     assert audit(m, da).stable
 
 
+RUNNERS = {**MECHANISMS, "college_proposing_da": college_proposing_da}
+
+
+@pytest.mark.parametrize("run", RUNNERS.values(), ids=RUNNERS)
+def test_a_priority_list_that_is_no_permutation_is_refused(run):
+    # college 1 lists student 1 twice and student 0 never; college 2 is short
+    m = Market(2, [1, 1, 1], [], [], [[0, 1], [1, 1], [0]], [[(0, 0)], [(1, 0)]])
+    message = "^college 1 priority list is not a permutation$"
+    with pytest.raises(ValueError, match=message):
+        run(m)
+
+
 def test_deferred_acceptance_rejects_resource_markets():
     with pytest.raises(ValueError):
         college_proposing_da(load_fixture("example1"))

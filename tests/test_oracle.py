@@ -24,7 +24,7 @@ from capmatch import (
     load_fixture,
     strategyproofness_probe,
 )
-from capmatch.oracle import _dominated_rows
+from capmatch.oracle import CENSUS_SETS, _dominated_rows
 
 
 def test_two_by_two_market_has_five_matchings_and_no_stable_one():
@@ -109,8 +109,23 @@ def test_cyclic_market_has_exactly_two_direct_envy_stable_matchings():
 def test_census_set_of_helper():
     cen = census(load_fixture("example1"))
     assert cen.set_of("direct_envy_stable") == [cen.matchings[2], cen.matchings[4]]
-    with pytest.raises(AttributeError):
-        cen.set_of("nonsense")
+    assert CENSUS_SETS == (
+        "stable",
+        "envy_free",
+        "non_wasteful",
+        "weakly_stable",
+        "direct_envy_stable",
+        "pareto_efficient",
+    )
+    for name in CENSUS_SETS:
+        assert cen.set_of(name) == [cen.matchings[i] for i in getattr(cen, name)]
+
+
+@pytest.mark.parametrize("name", ["nonsense", "matchings", "reports", "set_of"])
+def test_census_set_of_refuses_a_name_that_is_no_set(name):
+    cen = census(load_fixture("example1"))
+    with pytest.raises(AttributeError, match=f"^a census has no set '{name}'$"):
+        cen.set_of(name)
 
 
 def test_enumeration_is_exhaustive_and_exact():
