@@ -19,14 +19,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .blocking import audit
-from .market import (
-    EMPTY_RESOURCE,
-    Contract,
-    Market,
-    Matching,
-    _require_id,
-    is_feasible,
-)
+from .market import EMPTY_RESOURCE, Contract, Market, Matching, _require_id, is_feasible
 
 
 class CutoffProfile:

@@ -148,7 +148,7 @@ class StabilityCensus:
         return [self.matchings[i] for i in getattr(self, name)]
 
 
-# the census's index sets, in `capmatch oracle`'s order: the fields after reports
+# the census's index sets, as `capmatch oracle` prints them: the fields after reports
 CENSUS_SETS = tuple(f.name for f in fields(StabilityCensus))[2:]
 
 
