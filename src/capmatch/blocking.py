@@ -21,6 +21,12 @@ classifies every candidate once. audit reads its counts, flags and domination
 step from it, and each per-contract check reads its contract's entry from the
 same scan, so the two agree by construction.
 
+audit is the one-matching case of _audit_all, which audits matchings of one
+market in order, their scans sharing one candidate table (_Table): each
+student's contracts, built once and only as deep as some scan has needed,
+and one copy of each witness. oracle.census audits a whole market this way,
+so it builds no contract per matching and keeps one copy of each witness.
+
 Stability notions audited:
   stable            no envy blocks and no waste blocks
   envy_free         no envy blocks
@@ -36,7 +42,7 @@ Stability notions audited:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Optional
+from typing import Iterable, Optional
 
 from .market import (
     EMPTY_RESOURCE,
@@ -55,6 +61,26 @@ DIRECT_ENVY = "direct_envy"
 INDIRECT_ENVY = "indirect_envy"
 
 BLOCK_CATEGORIES = (RESOURCE, SEAT, DIRECT_ENVY, INDIRECT_ENVY)
+
+# builds a Contract from its (s, c, r) tuple in C, as Contract(s, c, r) does
+# through the NamedTuple's Python-level __new__
+_tuple_new = tuple.__new__
+
+
+class _Table:
+    """What the scans of one market's matchings share.
+
+    rows[s] holds the Contract of each entry of student s's list, in list
+    order, down to the deepest stop some scan has needed so far. witnesses
+    maps each waste and envy witness a scan has recorded to its first copy,
+    so equal witnesses of different matchings are one object.
+    """
+
+    __slots__ = ("rows", "witnesses")
+
+    def __init__(self, m: Market):
+        self.rows: list[list[Contract]] = [[] for _ in range(m.n_students)]
+        self.witnesses: dict[tuple, tuple] = {}
 
 
 class _State:
@@ -77,7 +103,7 @@ class _State:
 
 
 def _scan(
-    m: Market, st: _State
+    m: Market, st: _State, table: _Table
 ) -> tuple[
     list[tuple[Contract, str]],
     list[tuple[Contract, tuple[Contract, ...], bool]],
@@ -92,6 +118,11 @@ def _scan(
     and whether the envy is direct; and each that is clean: neither
     waste-blocking nor direct-envy-blocking, at a college that ranks s.
 
+    The candidates are read from table.rows: a scan builds a student's
+    missing entries only when she needs more of her list than the row
+    holds, so scans that share the table build each contract once. Each
+    witness recorded is table.witnesses' copy of it.
+
     The envy swap drops mu_s and the victim y and adds x. Other colleges and
     resources only lose contracts, so it fits exactly when x fits at c once
     both leave, and that depends on y only through whether y holds r. A
@@ -102,20 +133,28 @@ def _scan(
     envy: list[tuple[Contract, tuple[Contract, ...], bool]] = []
     clean: list[Contract] = []
     ccount, rcount, roster = st.ccount, st.rcount, st.roster
+    prefs, pref_pos = m.preferences, m._pref_pos
+    rows, witnesses = table.rows, table.witnesses
     for s, cur in enumerate(st.assign):
         if cur is None:
             cur_c = cur_r = -1
-            held = None
+            stop = len(prefs[s])
         else:
-            cur_c, cur_r = cur.college, cur.resource
-            held = (cur_c, cur_r)
-        for c, r in m.preferences[s][: m.pref_position(s, held)]:
-            x = Contract(s, c, r)
+            _s, cur_c, cur_r = cur
+            stop = pref_pos[s][cur_c, cur_r]  # listed: mu is individually rational
+        if not stop:
+            continue
+        row = rows[s]
+        if len(row) < stop:
+            row += [_tuple_new(Contract, (s, c, r)) for c, r in prefs[s][len(row) : stop]]
+        for x in row[:stop]:
+            _s, c, r = x
             at_c = c == cur_c
             had_r = r == cur_r
             wasteful = fits(m, ccount, rcount, c, r, at_c, had_r)
             if wasteful:
-                waste.append((x, RESOURCE if at_c else SEAT))
+                w = (x, RESOURCE if at_c else SEAT)
+                waste.append(witnesses.setdefault(w, w))
             rank_row = m._rank[c]
             rs = rank_row[s]
             if rs is None:
@@ -133,7 +172,8 @@ def _scan(
             direct = False
             if victims:
                 direct = r == EMPTY_RESOURCE or any(y.resource == r for y in victims)
-                envy.append((x, tuple(victims), direct))
+                e = (x, tuple(victims), direct)
+                envy.append(witnesses.setdefault(e, e))
             if not (wasteful or direct):
                 clean.append(x)
     return waste, envy, clean
@@ -168,7 +208,9 @@ def _require_auditable(m: Market, mu: Matching) -> None:
     _require_known_pairs(m)
     if not is_feasible(m, mu):  # raises on mu's unknown ids first
         raise ValueError("matching is not feasible")
-    if not all(m.acceptable(s, c, r) for s, c, r in mu):
+    # is_feasible has checked every id, so each list is read directly
+    pref_pos = m._pref_pos
+    if not all((c, r) in pref_pos[s] for s, c, r in mu):
         raise ValueError("matching is not individually rational")
 
 
@@ -191,7 +233,7 @@ def _entry(
         raise ValueError(f"contract {x} is not acceptable to its student")
     if x in mu:
         raise ValueError(f"contract {x} is already in the matching")
-    waste, envy, clean = _scan(m, _State(m, mu))
+    waste, envy, clean = _scan(m, _State(m, mu), _Table(m))
     kind = next((k for y, k in waste if y == x), None)
     victims, direct = next(((v, d) for y, v, d in envy if y == x), ((), False))
     return kind, victims, direct, clean
@@ -313,10 +355,32 @@ def audit(m: Market, mu: Matching) -> BlockingReport:
         ValueError: some student of m lists an unknown college or resource,
             or mu is infeasible or not individually rational.
     """
-    _require_auditable(m, mu)
-    st = _State(m, mu)
-    waste, envy, clean = _scan(m, st)
+    return _audit_all(m, (mu,))[0]
 
+
+def _audit_all(m: Market, matchings: Iterable[Matching]) -> list[BlockingReport]:
+    """audit of each matching of m, in order, all scans sharing one _Table.
+
+    Each matching is checked as audit checks it, and the first that fails
+    raises audit's ValueError.
+    """
+    table = _Table(m)
+    reports = []
+    for mu in matchings:
+        _require_auditable(m, mu)
+        st = _State(m, mu)
+        reports.append(_report(m, st, *_scan(m, st, table)))
+    return reports
+
+
+def _report(
+    m: Market,
+    st: _State,
+    waste: list[tuple[Contract, str]],
+    envy: list[tuple[Contract, tuple[Contract, ...], bool]],
+    clean: list[Contract],
+) -> BlockingReport:
+    """The report of the matching st holds, from its scan."""
     n_resource = sum(kind == RESOURCE for _x, kind in waste)
     n_direct = sum(direct for _x, _victims, direct in envy)
     counts = {

@@ -49,10 +49,13 @@ class CutoffProfile:
         self.n_students = int(n_students)
 
     def __getitem__(self, c: int) -> tuple[int, ...]:
+        _require_id("college", c, len(self.values))
         return self.values[c]
 
     def is_maximal(self, c: int, r: int) -> bool:
-        return self.values[c][r] >= self.n_students
+        row = self[c]
+        _require_id("resource", r, len(row))
+        return row[r] >= self.n_students
 
     def entries(self):
         """All (college, resource) index pairs."""

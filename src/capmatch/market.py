@@ -267,7 +267,9 @@ class Matching:
     __slots__ = ("_items",)
 
     def __init__(self, contracts: Iterable[Contract] = ()):
-        items = tuple(sorted(Contract(*x) for x in contracts))
+        items = tuple(
+            sorted([x if type(x) is Contract else Contract(*x) for x in contracts])
+        )
         for a, b in zip(items, items[1:]):
             if a.student == b.student:  # sorted: the lowest such student
                 raise ValueError(f"student {a.student} holds two contracts")

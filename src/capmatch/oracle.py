@@ -22,7 +22,8 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from .blocking import BlockingReport, audit
+# audit is unused here but stays importable: perfbench/spans.py patches oracle.audit
+from .blocking import BlockingReport, _audit_all, audit  # noqa: F401
 from .market import Contract, Market, Matching, _require_known_pairs, fits
 
 DEFAULT_BOUND = 10_000_000
@@ -55,6 +56,10 @@ def enumerate_matchings(m: Market, bound: int = DEFAULT_BOUND) -> list[Matching]
 
     ccount = [0] * m.n_colleges
     rcount = [0] * (m.n_resources + 1)
+    # each student's contracts, built once: every matching shares them
+    rows = [
+        [Contract(s, c, r) for c, r in prefs] for s, prefs in enumerate(m.preferences)
+    ]
     chosen: list[Contract] = []
     out: list[Matching] = []
 
@@ -63,11 +68,12 @@ def enumerate_matchings(m: Market, bound: int = DEFAULT_BOUND) -> list[Matching]
             out.append(Matching(chosen))
             return
         walk(s + 1)  # unmatched branch first
-        for (c, r) in m.preferences[s]:
+        for x in rows[s]:
+            _s, c, r = x
             if fits(m, ccount, rcount, c, r):
                 ccount[c] += 1
                 rcount[r] += 1
-                chosen.append(Contract(s, c, r))
+                chosen.append(x)
                 walk(s + 1)
                 chosen.pop()
                 ccount[c] -= 1
@@ -155,7 +161,7 @@ CENSUS_SETS = tuple(f.name for f in fields(StabilityCensus))[2:]
 def census(m: Market, bound: int = DEFAULT_BOUND) -> StabilityCensus:
     """Enumerate, audit, and classify every feasible IR matching."""
     matchings = enumerate_matchings(m, bound)
-    reports = [audit(m, mu) for mu in matchings]
+    reports = _audit_all(m, matchings)
     P = _position_matrix(m, matchings)
     pareto = tuple(int(i) for i in np.flatnonzero(~_dominated_rows(P, P)))
     # every set but the last, the Pareto skyline, is a report flag

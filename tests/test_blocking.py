@@ -20,7 +20,7 @@ from capmatch import (
     prefers,
     waste_block_class,
 )
-from capmatch.blocking import BLOCK_CATEGORIES, RESOURCE, SEAT
+from capmatch.blocking import BLOCK_CATEGORIES, RESOURCE, SEAT, _audit_all
 
 
 def test_seat_block_moves_to_a_new_college():
@@ -235,6 +235,24 @@ def test_preconditions_raise():
     assert waste_block_class(m, mu, x) is None
     with _raises(f"contract {x} does not waste-block this matching"):
         is_dominated(m, mu, x)
+
+
+def test_a_batch_audit_refuses_what_audit_refuses():
+    """_audit_all checks every matching as audit does, and an empty batch
+    has no reports."""
+    m = load_fixture("example1")
+    fine = Matching([Contract(1, 0, 1)])
+    assert _audit_all(m, []) == []
+    assert _audit_all(m, [fine, Matching()]) == [audit(m, fine), audit(m, Matching())]
+    for bad, message in [
+        (Matching([Contract(0, 0, 1), Contract(1, 1, 1)]), "matching is not feasible"),
+        (Matching([Contract(0, 0, 0)]), "matching is not individually rational"),
+    ]:
+        with _raises(message):
+            audit(m, bad)
+        for batch in ([bad], [fine, bad], [bad, fine]):
+            with _raises(message):
+                _audit_all(m, batch)
 
 
 def _raises(message):

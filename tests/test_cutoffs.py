@@ -39,6 +39,20 @@ def test_profile_accessors():
     assert hash(k) == hash(CutoffProfile([[2, 1], [1, 0]], n_students=2))
 
 
+def test_profile_accessors_refuse_out_of_range_ids():
+    k = CutoffProfile([[3, 1], [0, 0], [1, 0]], n_students=3)
+    for call, message in [
+        (lambda: k.is_maximal(-3, 0), "unknown college id -3"),
+        (lambda: k.is_maximal(0, -2), "unknown resource id -2"),
+        (lambda: k[-1], "unknown college id -1"),
+        (lambda: k[3], "unknown college id 3"),
+        (lambda: k.is_maximal(0, 2), "unknown resource id 2"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
+    assert k[2] == (1, 0) and k.is_maximal(0, 0) and not k.is_maximal(0, 1)
+
+
 def test_zero_and_maximal_profiles():
     m = load_fixture("example1")
     z = zero_profile(m)

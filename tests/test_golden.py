@@ -60,6 +60,7 @@ from capmatch.blocking import (
     INDIRECT_ENVY,
     RESOURCE,
     SEAT,
+    _audit_all,
     _require_auditable,
 )
 from capmatch._draws import Draws
@@ -966,6 +967,22 @@ def test_audit_matches_the_reference_on_every_census_matching():
             matchings += 1
     assert matchings > 2000
     assert seen[True] > 0 and seen[False] > 0
+
+
+def test_a_census_audits_each_matching_as_a_lone_audit_does():
+    """A census's scans share one table of contracts and witnesses; no
+    report may depend on it. Batches in reversed and shuffled order put a
+    shallow stop after a deep one and the reverse, so a row built deep for
+    one matching cannot mislead a later one."""
+    rng = np.random.default_rng(20)
+    for m in census_markets():
+        result = census(m)
+        alone = [audit(m, mu) for mu in result.matchings]
+        assert result.reports == tuple(alone)
+        n = len(alone)
+        for order in (range(n - 1, -1, -1), rng.permutation(n).tolist()):
+            batch = _audit_all(m, [result.matchings[i] for i in order])
+            assert batch == [alone[i] for i in order]
 
 
 def test_audit_matches_the_reference_on_mechanism_outputs():

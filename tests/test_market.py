@@ -187,6 +187,17 @@ def test_matching_containers_and_equality():
     assert Matching([[1, 0, 1], (0, 1, 0)]) == mu
 
 
+def test_a_matching_keeps_the_contracts_it_is_given():
+    x, y = Contract(1, 0, 1), Contract(0, 1, 0)
+    mu = Matching([x, y])
+    assert mu.student_contract(1) is x and mu.student_contract(0) is y
+    # plain tuples and lists become contracts
+    rows = Matching([(1, 0, 1), [0, 1, 0]])
+    assert rows == mu and all(type(z) is Contract for z in rows)
+    with pytest.raises(ValueError, match="^student 1 holds two contracts$"):
+        Matching([x, (1, 1, 0)])
+
+
 def test_a_matching_holds_its_contracts_once():
     mu = Matching([Contract(1, 0, 1), Contract(0, 1, 0)])
     assert Matching.__slots__ == ("_items",)
