@@ -42,7 +42,7 @@ Stability notions audited:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Iterable, Optional
+from typing import Optional, Sequence
 
 from .market import (
     EMPTY_RESOURCE,
@@ -71,16 +71,18 @@ class _Table:
     """What the scans of one market's matchings share.
 
     rows[s] holds the Contract of each entry of student s's list, in list
-    order, down to the deepest stop some scan has needed so far. witnesses
-    maps each waste and envy witness a scan has recorded to its first copy,
-    so equal witnesses of different matchings are one object.
+    order, down to the deepest stop some scan has needed so far. When the
+    scans are of several matchings, witnesses maps each waste and envy
+    witness recorded so far to its first copy, so equal witnesses of
+    different matchings are one object. One scan records each witness
+    once, so for one matching witnesses is None and nothing is looked up.
     """
 
     __slots__ = ("rows", "witnesses")
 
-    def __init__(self, m: Market):
+    def __init__(self, m: Market, n_matchings: int = 1):
         self.rows: list[list[Contract]] = [[] for _ in range(m.n_students)]
-        self.witnesses: dict[tuple, tuple] = {}
+        self.witnesses: Optional[dict[tuple, tuple]] = {} if n_matchings > 1 else None
 
 
 class _State:
@@ -121,7 +123,7 @@ def _scan(
     The candidates are read from table.rows: a scan builds a student's
     missing entries only when she needs more of her list than the row
     holds, so scans that share the table build each contract once. Each
-    witness recorded is table.witnesses' copy of it.
+    witness recorded is table.witnesses' copy of it, if the table keeps one.
 
     The envy swap drops mu_s and the victim y and adds x. Other colleges and
     resources only lose contracts, so it fits exactly when x fits at c once
@@ -154,7 +156,7 @@ def _scan(
             wasteful = fits(m, ccount, rcount, c, r, at_c, had_r)
             if wasteful:
                 w = (x, RESOURCE if at_c else SEAT)
-                waste.append(witnesses.setdefault(w, w))
+                waste.append(w if witnesses is None else witnesses.setdefault(w, w))
             rank_row = m._rank[c]
             rs = rank_row[s]
             if rs is None:
@@ -173,7 +175,7 @@ def _scan(
             if victims:
                 direct = r == EMPTY_RESOURCE or any(y.resource == r for y in victims)
                 e = (x, tuple(victims), direct)
-                envy.append(witnesses.setdefault(e, e))
+                envy.append(e if witnesses is None else witnesses.setdefault(e, e))
             if not (wasteful or direct):
                 clean.append(x)
     return waste, envy, clean
@@ -358,13 +360,13 @@ def audit(m: Market, mu: Matching) -> BlockingReport:
     return _audit_all(m, (mu,))[0]
 
 
-def _audit_all(m: Market, matchings: Iterable[Matching]) -> list[BlockingReport]:
+def _audit_all(m: Market, matchings: Sequence[Matching]) -> list[BlockingReport]:
     """audit of each matching of m, in order, all scans sharing one _Table.
 
     Each matching is checked as audit checks it, and the first that fails
     raises audit's ValueError.
     """
-    table = _Table(m)
+    table = _Table(m, len(matchings))
     reports = []
     for mu in matchings:
         _require_auditable(m, mu)
