@@ -24,8 +24,8 @@ same scan, so the two agree by construction.
 audit is the one-matching case of _audit_all, which audits matchings of one
 market in order, their scans sharing one candidate table (_Table): each
 student's contracts, built once and only as deep as some scan has needed,
-and one copy of each witness. oracle.census audits a whole market this way,
-so it builds no contract per matching and keeps one copy of each witness.
+and, across matchings, one copy of each witness. oracle.census audits a
+whole market this way, so it builds no contract per matching.
 
 Stability notions audited:
   stable            no envy blocks and no waste blocks
