@@ -21,11 +21,9 @@ classifies every candidate once. audit reads its counts, flags and domination
 step from it, and each per-contract check reads its contract's entry from the
 same scan, so the two agree by construction.
 
-audit is the one-matching case of _audit_all, which audits matchings of one
-market in order, their scans sharing one candidate table (_Table): each
-student's contracts, built once and only as deep as some scan has needed,
-and, across matchings, one copy of each witness. oracle.census audits a
-whole market this way, so it builds no contract per matching.
+audit scans one matching. oracle.census audits all of a market's matchings
+at once, as array operations over the market's list entries, and builds
+each report through the same _make_report, so the two report alike.
 
 Stability notions audited:
   stable            no envy blocks and no waste blocks
@@ -42,7 +40,7 @@ Stability notions audited:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Optional, Sequence
+from typing import Optional
 
 from .market import (
     EMPTY_RESOURCE,
@@ -67,24 +65,6 @@ BLOCK_CATEGORIES = (RESOURCE, SEAT, DIRECT_ENVY, INDIRECT_ENVY)
 _tuple_new = tuple.__new__
 
 
-class _Table:
-    """What the scans of one market's matchings share.
-
-    rows[s] holds the Contract of each entry of student s's list, in list
-    order, down to the deepest stop some scan has needed so far. When the
-    scans are of several matchings, witnesses maps each waste and envy
-    witness recorded so far to its first copy, so equal witnesses of
-    different matchings are one object. One scan records each witness
-    once, so for one matching witnesses is None and nothing is looked up.
-    """
-
-    __slots__ = ("rows", "witnesses")
-
-    def __init__(self, m: Market, n_matchings: int = 1):
-        self.rows: list[list[Contract]] = [[] for _ in range(m.n_students)]
-        self.witnesses: Optional[dict[tuple, tuple]] = {} if n_matchings > 1 else None
-
-
 class _State:
     """Mutable snapshot of a matching, as the scan reads it."""
 
@@ -104,9 +84,7 @@ class _State:
             self.roster[c].append(x)
 
 
-def _scan(
-    m: Market, st: _State, table: _Table
-) -> tuple[
+def _scan(m: Market, st: _State) -> tuple[
     list[tuple[Contract, str]],
     list[tuple[Contract, tuple[Contract, ...], bool]],
     list[Contract],
@@ -120,11 +98,6 @@ def _scan(
     and whether the envy is direct; and each that is clean: neither
     waste-blocking nor direct-envy-blocking, at a college that ranks s.
 
-    The candidates are read from table.rows: a scan builds a student's
-    missing entries only when she needs more of her list than the row
-    holds, so scans that share the table build each contract once. Each
-    witness recorded is table.witnesses' copy of it, if the table keeps one.
-
     The envy swap drops mu_s and the victim y and adds x. Other colleges and
     resources only lose contracts, so it fits exactly when x fits at c once
     both leave, and that depends on y only through whether y holds r. A
@@ -136,7 +109,6 @@ def _scan(
     clean: list[Contract] = []
     ccount, rcount, roster = st.ccount, st.rcount, st.roster
     prefs, pref_pos = m.preferences, m._pref_pos
-    rows, witnesses = table.rows, table.witnesses
     for s, cur in enumerate(st.assign):
         if cur is None:
             cur_c = cur_r = -1
@@ -144,19 +116,13 @@ def _scan(
         else:
             _s, cur_c, cur_r = cur
             stop = pref_pos[s][cur_c, cur_r]  # listed: mu is individually rational
-        if not stop:
-            continue
-        row = rows[s]
-        if len(row) < stop:
-            row += [_tuple_new(Contract, (s, c, r)) for c, r in prefs[s][len(row) : stop]]
-        for x in row[:stop]:
-            _s, c, r = x
+        for c, r in prefs[s][:stop]:
+            x = _tuple_new(Contract, (s, c, r))
             at_c = c == cur_c
             had_r = r == cur_r
             wasteful = fits(m, ccount, rcount, c, r, at_c, had_r)
             if wasteful:
-                w = (x, RESOURCE if at_c else SEAT)
-                waste.append(w if witnesses is None else witnesses.setdefault(w, w))
+                waste.append((x, RESOURCE if at_c else SEAT))
             rank_row = m._rank[c]
             rs = rank_row[s]
             if rs is None:
@@ -174,8 +140,7 @@ def _scan(
             direct = False
             if victims:
                 direct = r == EMPTY_RESOURCE or any(y.resource == r for y in victims)
-                e = (x, tuple(victims), direct)
-                envy.append(e if witnesses is None else witnesses.setdefault(e, e))
+                envy.append((x, tuple(victims), direct))
             if not (wasteful or direct):
                 clean.append(x)
     return waste, envy, clean
@@ -235,7 +200,7 @@ def _entry(
         raise ValueError(f"contract {x} is not acceptable to its student")
     if x in mu:
         raise ValueError(f"contract {x} is already in the matching")
-    waste, envy, clean = _scan(m, _State(m, mu), _Table(m))
+    waste, envy, clean = _scan(m, _State(m, mu))
     kind = next((k for y, k in waste if y == x), None)
     victims, direct = next(((v, d) for y, v, d in envy if y == x), ((), False))
     return kind, victims, direct, clean
@@ -357,40 +322,11 @@ def audit(m: Market, mu: Matching) -> BlockingReport:
         ValueError: some student of m lists an unknown college or resource,
             or mu is infeasible or not individually rational.
     """
-    return _audit_all(m, (mu,))[0]
-
-
-def _audit_all(m: Market, matchings: Sequence[Matching]) -> list[BlockingReport]:
-    """audit of each matching of m, in order, all scans sharing one _Table.
-
-    Each matching is checked as audit checks it, and the first that fails
-    raises audit's ValueError.
-    """
-    table = _Table(m, len(matchings))
-    reports = []
-    for mu in matchings:
-        _require_auditable(m, mu)
-        st = _State(m, mu)
-        reports.append(_report(m, st, *_scan(m, st, table)))
-    return reports
-
-
-def _report(
-    m: Market,
-    st: _State,
-    waste: list[tuple[Contract, str]],
-    envy: list[tuple[Contract, tuple[Contract, ...], bool]],
-    clean: list[Contract],
-) -> BlockingReport:
-    """The report of the matching st holds, from its scan."""
+    _require_auditable(m, mu)
+    st = _State(m, mu)
+    waste, envy, clean = _scan(m, st)
     n_resource = sum(kind == RESOURCE for _x, kind in waste)
     n_direct = sum(direct for _x, _victims, direct in envy)
-    counts = {
-        RESOURCE: n_resource,
-        SEAT: len(waste) - n_resource,
-        DIRECT_ENVY: n_direct,
-        INDIRECT_ENVY: len(envy) - n_direct,
-    }
     weakly_stable = not n_direct and all(
         x.resource != EMPTY_RESOURCE
         and st.rcount[x.resource] == m.resource_quotas[x.resource - 1]
@@ -410,18 +346,43 @@ def _report(
             _dominating_witness(m, x, buckets[(x.college, x.resource)]) is not None
             for x, _kind in waste
         )
+    return _make_report(
+        tuple(waste),
+        tuple(envy),
+        n_resource,
+        n_direct,
+        weakly_stable,
+        direct_envy_stable,
+    )
 
+
+def _make_report(
+    waste: tuple[tuple[Contract, str], ...],
+    envy: tuple[tuple[Contract, tuple[Contract, ...], bool], ...],
+    n_resource: int,
+    n_direct: int,
+    weakly_stable: bool,
+    direct_envy_stable: bool,
+) -> BlockingReport:
+    """The report with these witnesses, of which n_resource waste blocks
+    are resource-kind and n_direct envy blocks are direct."""
+    n_seat = len(waste) - n_resource
     return BlockingReport(
-        counts=counts,
+        counts={
+            RESOURCE: n_resource,
+            SEAT: n_seat,
+            DIRECT_ENVY: n_direct,
+            INDIRECT_ENVY: len(envy) - n_direct,
+        },
         total=len(waste) + len(envy),
         stable=not waste and not envy,
         envy_free=not envy,
         direct_envy_free=not n_direct,
         non_wasteful=not waste,
-        seat_efficient=counts[SEAT] == 0,
-        resource_efficient=n_resource == 0,
+        seat_efficient=not n_seat,
+        resource_efficient=not n_resource,
         weakly_stable=weakly_stable,
         direct_envy_stable=direct_envy_stable,
-        waste_witnesses=tuple(waste),
-        envy_witnesses=tuple(envy),
+        waste_witnesses=waste,
+        envy_witnesses=envy,
     )

@@ -60,7 +60,6 @@ from capmatch.blocking import (
     INDIRECT_ENVY,
     RESOURCE,
     SEAT,
-    _audit_all,
     _require_auditable,
 )
 from capmatch._draws import Draws
@@ -970,10 +969,10 @@ def test_audit_matches_the_reference_on_every_census_matching():
 
 
 def test_a_census_audits_each_matching_as_a_lone_audit_does():
-    """A census's scans share one table of contracts and witnesses; no
-    report may depend on it. Batches in reversed and shuffled order put a
-    shallow stop after a deep one and the reverse, so a row built deep for
-    one matching cannot mislead a later one."""
+    """A census audits all of a market's matchings at once; no report may
+    depend on the others. Batches in reversed and shuffled order put each
+    matching among other neighbours. The position matrix the array audit
+    hands to the Pareto step must equal _position_matrix's."""
     rng = np.random.default_rng(20)
     for m in census_markets():
         result = census(m)
@@ -981,8 +980,23 @@ def test_a_census_audits_each_matching_as_a_lone_audit_does():
         assert result.reports == tuple(alone)
         n = len(alone)
         for order in (range(n - 1, -1, -1), rng.permutation(n).tolist()):
-            batch = _audit_all(m, [result.matchings[i] for i in order])
-            assert batch == [alone[i] for i in order]
+            batch = [result.matchings[i] for i in order]
+            P, reports = oracle._audit_arrays(m, batch)
+            assert reports == [alone[i] for i in order]
+            assert np.array_equal(P, oracle._position_matrix(m, batch))
+
+
+def test_naive_audit_agrees_with_audit_and_the_census_on_every_census_matching():
+    """The definitional audit is the gate for both audit paths: counts,
+    flags and both witness tuples, on every census matching of the
+    fixtures and of census_markets()."""
+    matchings = 0
+    for m in census_markets():
+        result = census(m)
+        for mu, rep in zip(result.matchings, result.reports):
+            assert rep == audit(m, mu) == oracle.naive_audit(m, mu), mu
+        matchings += len(result.matchings)
+    assert matchings > 3000
 
 
 def test_audit_matches_the_reference_on_mechanism_outputs():
@@ -1078,6 +1092,7 @@ def test_census_pareto_set_matches_the_pairwise_scan(pareto_censuses):
 
 
 def test_census_is_the_same_over_several_blocks(pareto_censuses, monkeypatch):
+    # blocks of the skyline's rows and of the array audit's
     monkeypatch.setattr(oracle, "_BLOCK_CELLS", 64)
     split = 0
     for shape, m, result in pareto_censuses:

@@ -7,7 +7,7 @@ semantics moved, not that the test needs updating.
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -16,6 +16,7 @@ from capmatch import (
     Market,
     Matching,
     OracleBoundError,
+    audit,
     census,
     enumerate_matchings,
     is_feasible,
@@ -23,8 +24,10 @@ from capmatch import (
     is_pareto_efficient,
     load_fixture,
     strategyproofness_probe,
+    validate_market,
 )
-from capmatch.oracle import CENSUS_SETS, _dominated_rows
+from capmatch import oracle
+from capmatch.oracle import CENSUS_SETS, _dominated_rows, naive_audit
 
 
 def test_two_by_two_market_has_five_matchings_and_no_stable_one():
@@ -106,6 +109,31 @@ def test_cyclic_market_has_exactly_two_direct_envy_stable_matchings():
         assert i in cen.weakly_stable
 
 
+def test_two_students_suffice_for_direct_envy_stable_but_not_weakly_stable():
+    """The smallest counterexample to criterion 4 known: a clean market with
+    two students, two colleges and one shared unit. Student 0 sits at
+    college 1 although she wants (0, 1) most; granting that unit to
+    student 1, who holds a plain seat at 0, is a waste block, dominated
+    because 0 outranks 1 at college 0 and would then envy her directly.
+    The unit stays undistributed, so the matching is not weakly stable."""
+    m = Market(
+        2,
+        [1, 1],
+        [1],
+        [[0, 1]],
+        [[0, 1], [0, 1]],
+        [[(0, 1), (1, 0), (0, 0)], [(0, 1), (0, 0)]],
+    )
+    assert validate_market(m) == []
+    mu = Matching([Contract(0, 1, 0), Contract(1, 0, 0)])
+    for rep in (audit(m, mu), naive_audit(m, mu)):
+        assert rep.direct_envy_stable
+        assert not rep.weakly_stable
+    i = census(m).matchings.index(mu)
+    assert i in census(m).direct_envy_stable
+    assert i not in census(m).weakly_stable
+
+
 def test_census_set_of_helper():
     cen = census(load_fixture("example1"))
     assert cen.set_of("direct_envy_stable") == [cen.matchings[2], cen.matchings[4]]
@@ -157,6 +185,19 @@ def test_enumeration_bound_guard():
     assert len(enumerate_matchings(_one_college_free_for_all(5))) == 2**5
     with pytest.raises(OracleBoundError):
         enumerate_matchings(_one_college_free_for_all(5), bound=31)
+
+
+def test_the_walk_stops_at_its_matching_bound(monkeypatch):
+    # 2^5 leaves fit the leaf bound, but not 32 matchings under a bound of 31
+    m = _one_college_free_for_all(5)
+    monkeypatch.setattr(oracle, "_MAX_MATCHINGS", 32)
+    assert len(enumerate_matchings(m)) == 32
+    monkeypatch.setattr(oracle, "_MAX_MATCHINGS", 31)
+    message = "^the walk found more than 31 matchings$"
+    with pytest.raises(OracleBoundError, match=message):
+        enumerate_matchings(m)
+    with pytest.raises(OracleBoundError, match=message):
+        census(m)
 
 
 def test_pareto_efficiency_on_the_two_by_two_market():
@@ -243,3 +284,38 @@ def test_dominated_rows_is_pairwise_pareto_domination(P):
         any((p <= q).all() and (p < q).any() for p in P) for q in P
     ]
     assert _dominated_rows(P, P).tolist() == expected
+
+
+@st.composite
+def small_markets(draw):
+    """Markets of up to four students whose college lists may leave students
+    out, with R = 0 and empty preference lists among them."""
+    n = draw(st.integers(0, 4))
+    n_c = draw(st.integers(1, 3))
+    n_r = draw(st.integers(0, 2))
+    colleges = range(n_c)
+    pairs = [(c, r) for c in colleges for r in range(n_r + 1)]
+    return Market(
+        n,
+        draw(st.lists(st.integers(1, 2), min_size=n_c, max_size=n_c)),
+        draw(st.lists(st.integers(1, 2), min_size=n_r, max_size=n_r)),
+        [draw(st.sets(st.sampled_from(colleges), min_size=1)) for _ in range(n_r)],
+        [draw(st.permutations(range(n)))[: draw(st.integers(0, n))] for _ in colleges],
+        [
+            draw(st.permutations(pairs))[: draw(st.integers(0, min(4, len(pairs))))]
+            for _ in range(n)
+        ],
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_markets())
+@example(Market(2, [1], [], [], [[1]], [[(0, 0)], [(0, 0)]]))
+@example(Market(3, [1, 2], [1], [[1]], [[0, 2], [2, 1, 0]], [[], [(1, 1), (0, 0)], []]))
+def test_naive_audit_agrees_with_audit_and_the_census(m):
+    """On every matching of a random small market, the definitional audit,
+    the scan and the census's array audit give equal reports, witnesses
+    included."""
+    result = census(m)
+    for mu, rep in zip(result.matchings, result.reports):
+        assert rep == audit(m, mu) == naive_audit(m, mu), mu
