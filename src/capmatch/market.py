@@ -275,6 +275,14 @@ class Matching:
                 raise ValueError(f"student {a.student} holds two contracts")
         self._items = items
 
+    @classmethod
+    def _of_sorted(cls, items: tuple[Contract, ...]) -> Matching:
+        """The matching of items, exact Contracts already in student order
+        with at most one per student; neither is checked."""
+        mu = object.__new__(cls)
+        mu._items = items
+        return mu
+
     @property
     def contracts(self) -> frozenset[Contract]:
         return frozenset(self._items)

@@ -6,32 +6,41 @@ checks against the whole matching set, and an exhaustive manipulation probe.
 All entry points guard against combinatorial blowup with an explicit bound
 and raise OracleBoundError instead of hanging.
 
-census audits all of a market's matchings at once (_audit_arrays). The
-market's list entries are fixed, and a matching only decides which of them
-are candidates and the counts they are tested against, so each of audit's
-tests is one array operation over the matchings-by-entries grid, and the
-victims one over matchings x entries x students, in blocks of rows of
-about _BLOCK_CELLS cells. A lone audit keeps blocking's one-matching scan,
-whose memory does not grow with the list lengths times n: the census
-covers small markets, the scan the mechanisms' outputs at any size.
+One walk (_walk) finds every feasible IR matching and records it as a
+position row: each student's list position in it, her list length when
+she is unmatched. enumerate_matchings builds a Matching from each row; a
+census keeps the rows, and its `matchings` builds each Matching only when
+it is read (_Matchings).
+
+census audits all of a market's rows at once (_audit_rows). The market's
+list entries are fixed, and a matching only decides which of them are
+candidates and the counts and holders' ranks they are tested against, so
+each of audit's tests is one array operation over the matchings-by-entries
+grid, in blocks of rows of about _BLOCK_CELLS cells. A lone audit keeps
+blocking's one-matching scan, whose memory does not grow with the list
+lengths times n: the census covers small markets, the scan the
+mechanisms' outputs at any size.
 naive_audit decides every block from the definitions, by building each
 changed matching and asking is_feasible; both audit paths are checked
 against it.
 
 The Pareto step is a skyline (the maxima of a set of vectors; Kung, Luccio
-& Preparata, JACM 1975). Each matching becomes one row of students'
-preference positions, built once per census by the array audit, and a
-row is dominated when another row is componentwise <= and has a strictly
-smaller sum. That test runs column by column over blocks of rows, so its
-memory stays bounded.
+& Preparata, JACM 1975) over the same rows, read as vectors of
+preference positions: a row is dominated when another row is
+componentwise <= and has a strictly smaller sum. The test is bit-packed:
+one table per column marks, for each value, the rows at or below it, and
+a row's dominators are the AND of its tables' marks, taken over blocks of
+rows so that memory stays bounded.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, fields
 from itertools import chain, permutations
 from math import factorial, perm, prod
-from typing import Callable, Optional, Sequence, Union
+from operator import getitem
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -50,6 +59,7 @@ from .market import (
     Contract,
     Market,
     Matching,
+    _check_ids,
     _require_known_pairs,
     fits,
     is_feasible,
@@ -57,11 +67,11 @@ from .market import (
 )
 
 DEFAULT_BOUND = 10_000_000
-# matchings the walk may yield, checked as it yields them: the leaf bound
-# alone lets it hold millions of Matching objects
+# matchings the walk may find, checked as it finds them: the leaf bound
+# alone lets it hold millions of rows
 _MAX_MATCHINGS = 1_000_000
-# cells of one block of the domination test and of the array audit's victims:
-# about 4M booleans per array
+# cells of one block of the domination test and of the array audit's
+# per-row arrays: about 4M booleans per array
 _BLOCK_CELLS = 1 << 22
 
 
@@ -69,20 +79,26 @@ class OracleBoundError(RuntimeError):
     """The requested exhaustive computation exceeds the stated bound."""
 
 
-def enumerate_matchings(m: Market, bound: int = DEFAULT_BOUND) -> list[Matching]:
-    """All feasible individually rational matchings of m.
+def _walk(m: Market, bound: int) -> tuple[tuple[tuple, ...], list[tuple[int, ...]]]:
+    """The contract table of m and the position row of every feasible
+    individually rational matching, in walk order.
+
+    table[s] holds student s's contracts in list order, then None, so
+    table[s][row[s]] is her contract in the row's matching, or None when
+    she is unmatched. Row i holds each student's list position in matching
+    i (the first listing of her pair), or her list length.
 
     Walks a per-student choice tree (each student takes one of her acceptable
     pairs or stays unmatched) and prunes branches as soon as a quota or
     region is violated; adding contracts never repairs a violation, so the
-    pruning is exact. The result is duplicate-free by construction.
+    pruning is exact.
 
     Raises:
         ValueError: some student lists an unknown college or resource.
         OracleBoundError: the unpruned choice tree exceeds `bound` leaves
             (checked before the walk), or the walk finds more than
             _MAX_MATCHINGS matchings (checked as it finds them, so the
-            error comes before the list outgrows memory).
+            error comes before the rows outgrow memory).
     """
     _require_known_pairs(m)
     sizes = [len(m.preferences[s]) + 1 for s in range(m.n_students)]
@@ -91,36 +107,115 @@ def enumerate_matchings(m: Market, bound: int = DEFAULT_BOUND) -> list[Matching]
             f"choice tree has about {prod(sizes):.3g} leaves, bound is {bound}"
         )
 
+    n = m.n_students
     ccount = [0] * m.n_colleges
     rcount = [0] * (m.n_resources + 1)
-    # each student's contracts, built once: every matching shares them
-    rows = [
-        [Contract(s, c, r) for c, r in prefs] for s, prefs in enumerate(m.preferences)
+    prefs = m.preferences
+    # each acceptable pair with its first listing's position
+    choices = [
+        [(pos[c, r], c, r) for c, r in ps] for ps, pos in zip(prefs, m._pref_pos)
     ]
-    chosen: list[Contract] = []
-    out: list[Matching] = []
+    row = [len(ps) for ps in prefs]
+    out: list[tuple[int, ...]] = []
     limit = _MAX_MATCHINGS
 
     def walk(s: int) -> None:
-        if s == m.n_students:
-            out.append(Matching(chosen))
+        if s == n:
+            out.append(tuple(row))
             if len(out) > limit:
                 raise OracleBoundError(f"the walk found more than {limit} matchings")
             return
         walk(s + 1)  # unmatched branch first
-        for x in rows[s]:
-            _s, c, r = x
+        for j, c, r in choices[s]:
             if fits(m, ccount, rcount, c, r):
                 ccount[c] += 1
                 rcount[r] += 1
-                chosen.append(x)
+                row[s] = j
                 walk(s + 1)
-                chosen.pop()
                 ccount[c] -= 1
                 rcount[r] -= 1
+        row[s] = len(prefs[s])
 
     walk(0)
-    return out
+    return _contract_table(m), out
+
+
+def _matching_of(table: tuple[tuple, ...], row: Sequence[int]) -> Matching:
+    """The matching of one position row: its contracts come from the table
+    in student order, one per student, so they need no sort and no check."""
+    return Matching._of_sorted(tuple(filter(None, map(getitem, table, row))))
+
+
+def enumerate_matchings(m: Market, bound: int = DEFAULT_BOUND) -> list[Matching]:
+    """All feasible individually rational matchings of m, in walk order
+    (see _walk, which raises for an unknown pair or an exceeded bound).
+
+    The result is duplicate-free when no student lists a pair twice.
+    """
+    table, rows = _walk(m, bound)
+    return [_matching_of(table, row) for row in rows]
+
+
+class _Matchings(Sequence):
+    """A census's matchings: a tuple-like sequence over the walk's position
+    rows that builds each Matching when it is first read, and keeps it.
+
+    It indexes, slices (into a tuple), iterates, compares, hashes, prints
+    and pickles as the tuple of its matchings. Two such sequences with
+    equal tables and equal rows are equal without building any matching.
+    """
+
+    __slots__ = ("_table", "_rows", "_built")
+
+    def __init__(self, table: tuple[tuple, ...], rows: np.ndarray):
+        self._table = table
+        self._rows = rows
+        self._built: list[Optional[Matching]] = [None] * len(rows)
+
+    def __len__(self) -> int:
+        return len(self._built)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(len(self))[i]))
+        try:
+            mu = self._built[i]
+        except IndexError:
+            raise IndexError("tuple index out of range") from None
+        if mu is None:
+            mu = self._built[i] = _matching_of(self._table, self._rows[i].tolist())
+        return mu
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    def __contains__(self, x) -> bool:
+        return x in tuple(self)
+
+    def index(self, x, *bounds) -> int:
+        return tuple(self).index(x, *bounds)
+
+    def count(self, x) -> int:
+        return tuple(self).count(x)
+
+    def __eq__(self, other):
+        if isinstance(other, _Matchings):
+            if self._table == other._table and np.array_equal(
+                self._rows, other._rows
+            ):
+                return True
+        elif not isinstance(other, tuple):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+    def __reduce__(self):
+        return _Matchings, (self._table, self._rows)
 
 
 def _position_matrix(m: Market, matchings: Sequence[Matching]) -> np.ndarray:
@@ -141,37 +236,97 @@ def _dominated_rows(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
 
     That is Pareto domination: a vector that is <= everywhere and differs
     somewhere has a strictly smaller sum, and the converse holds too.
+
+    The row sums are one more column, asked at sum(q) - 1, so q's
+    dominators are exactly the rows of P at or below q in every column; a
+    repeat of q never is one. One table of bits packed over the rows of P
+    holds, for each column k and each level v from min(P[:, k]) - 1 to
+    max(P[:, k]), the rows p with p[k] <= v. A row q gathers its level's
+    bits in every column, and q is dominated when their AND keeps a bit.
+    The columns are list positions and their sums, so their ranges are
+    short; the table and the gathered bits go in blocks of about
+    _BLOCK_CELLS cells.
     """
     out = np.zeros(len(Q), dtype=bool)
     if len(P) == 0:
         return out
-    p_sum = P.sum(axis=1)
-    q_sum = Q.sum(axis=1)
+    P = np.column_stack((P, P.sum(axis=1)))
+    Q = np.column_stack((Q, Q.sum(axis=1) - 1))
+    low = P.min(axis=0) - 1
+    size = P.max(axis=0) - low + 1
+    base = np.cumsum(size) - size
+    col = np.repeat(np.arange(P.shape[1]), size)
+    level = low[col] + np.arange(len(col)) - base[col]
+    table = np.empty((len(col), (len(P) + 7) // 8), np.uint8)
     step = max(1, _BLOCK_CELLS // len(P))
+    for lo in range(0, len(col), step):
+        at = slice(lo, lo + step)
+        table[at] = np.packbits(P[:, col[at]].T <= level[at, None], axis=1)
+    pick = (base + np.clip(Q - low, 0, size - 1)).T
+    step = max(1, _BLOCK_CELLS // (len(pick) * table.shape[1]))
     for lo in range(0, len(Q), step):
-        q = Q[lo : lo + step]
-        le = p_sum[None, :] < q_sum[lo : lo + step, None]
-        for k in range(P.shape[1]):
-            le &= P[None, :, k] <= q[:, None, k]
-        out[lo : lo + step] = le.any(axis=1)
+        hit = np.bitwise_and.reduce(table[pick[:, lo : lo + step]])
+        out[lo : lo + step] = hit.any(axis=1)
     return out
+
+
+def _entries(m: Market) -> tuple[np.ndarray, ...]:
+    """The candidate table of m, one entry per list entry in student order,
+    then list order: the list lengths, each list's first entry, and each
+    entry's student s_e, list position j_e, college c_e and resource r_e."""
+    prefs = m.preferences
+    lengths = np.array([len(p) for p in prefs], np.int64)
+    offsets = np.cumsum(lengths) - lengths
+    s_e = np.repeat(np.arange(m.n_students), lengths)
+    j_e = np.arange(len(s_e)) - offsets[s_e]
+    c_e, r_e = _flat_ints(chain.from_iterable(prefs), 2 * len(s_e)).reshape(-1, 2).T
+    return lengths, offsets, s_e, j_e, c_e, r_e
+
+
+def _contract_table(m: Market) -> tuple[tuple, ...]:
+    """Each student's contracts in list order, then None (see _walk)."""
+    return tuple(
+        (*(_tuple_new(Contract, (s, c, r)) for c, r in ps), None)
+        for s, ps in enumerate(m.preferences)
+    )
+
+
+def _counts(
+    m: Market,
+    region: np.ndarray,
+    n_m: int,
+    row: np.ndarray,
+    c: np.ndarray,
+    r: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The n_m x C college counts and n_m x (R + 1) resource counts of n_m
+    matchings whose contracts are (row, c, r), and whether each matching
+    breaks a quota or a region (region is _region_table(m))."""
+    n_c, n_r = m.n_colleges, m.n_resources + 1
+    ccount = np.bincount(row * n_c + c, minlength=n_m * n_c).reshape(n_m, n_c)
+    rcount = np.bincount(row * n_r + r, minlength=n_m * n_r).reshape(n_m, n_r)
+    infeasible = (ccount > np.array(m.college_quotas, np.int64)).any(1)
+    infeasible |= (rcount[:, 1:] > np.array(m.resource_quotas, np.int64)).any(1)
+    infeasible[row[~region[c, r]]] = True
+    return ccount, rcount, infeasible
+
+
+def _region_table(m: Market) -> np.ndarray:
+    """C x (R + 1) booleans: may college c hand out resource r?"""
+    n_c = m.n_colleges
+    region = np.zeros((n_c, m.n_resources + 1), bool)
+    region[:, EMPTY_RESOURCE] = True
+    for r, reg in enumerate(m.regions, 1):
+        region[[c for c in reg if 0 <= c < n_c], r] = True
+    return region
 
 
 def _audit_arrays(
     m: Market, matchings: Sequence[Matching]
 ) -> tuple[np.ndarray, list[BlockingReport]]:
     """The position matrix of the matchings (see _position_matrix), and the
-    audit of each, in order, computed for all of them at once.
-
-    For one market the candidates are fixed: entry e of the candidate table
-    is student s_e's pair (c_e, r_e) at list position j_e. A matching only
-    decides which entries are candidates (those above her assignment) and
-    the counts they are tested against, so each of audit's tests is one
-    array operation over the M x L (matchings x entries) grid, and the
-    victims one over the M x L x n grid, taken in blocks of rows of about
-    _BLOCK_CELLS cells. Witnesses are listed in row-major order, which is
-    the scan's student-then-list order, so every report equals
-    audit(m, mu).
+    audit of each, in order: each matching is checked as audit checks it,
+    and the rows are audited by _audit_rows.
 
     Raises audit's ValueError for the first matching audit would refuse.
     """
@@ -180,44 +335,11 @@ def _audit_arrays(
     if not n_m:
         return np.zeros((0, n), np.int64), []
     _require_known_pairs(m)
-
-    # the candidate table, in student order, then list order
-    prefs = m.preferences
-    lengths = np.array([len(p) for p in prefs], np.int64)
-    s_e = np.repeat(np.arange(n), lengths)
-    j_e = np.arange(len(s_e)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    c_e, r_e = _flat_ints(chain.from_iterable(prefs), 2 * len(s_e)).reshape(-1, 2).T
-    xs = [_tuple_new(Contract, (s, c, r)) for s, ps in enumerate(prefs) for c, r in ps]
+    lengths, _offsets, s_e, j_e, c_e, r_e = _entries(m)
     # the entry of each (s, c, r) that some student lists, its first listing
     entry_of = np.full(n * n_c * n_r, -1)
     keys, first = np.unique((s_e * n_c + c_e) * n_r + r_e, return_index=True)
     entry_of[keys] = first
-
-    # rank[c, s] = c's 1-based rank of s, or -1 when c does not rank her
-    rank = np.array(
-        [[-1 if v is None else v for v in row] for row in m._rank], np.int64
-    ).reshape(n_c, n)
-    rank_e = rank[c_e, s_e]
-    ranked_e = rank_e > 0
-    # below[e, t]: c_e ranks s_e above student t, who is ranked too
-    below = ranked_e[:, None] & (rank[c_e] > rank_e[:, None])
-    # dominates[f, e]: a clean f at the same (c, r) dominates waste block e
-    dominates = (
-        (c_e[:, None] == c_e)
-        & (r_e[:, None] == r_e)
-        & ranked_e[:, None]
-        & ranked_e
-        & (rank_e[:, None] < rank_e)
-    )
-    cq = np.array(m.college_quotas, np.int64)
-    # the empty resource never fills: n + 1 units is more than n students hold
-    rq = np.array((n + 1, *m.resource_quotas), np.int64)
-    region = np.zeros((n_c, n_r), bool)
-    region[:, EMPTY_RESOURCE] = True
-    for r, reg in enumerate(m.regions, 1):
-        region[[c for c in reg if 0 <= c < n_c], r] = True
-    cq_e, rq_e, region_e = cq[c_e], rq[r_e], region[c_e, r_e]
-    empty_e = r_e == EMPTY_RESOURCE
 
     # every contract of every matching, and the checks audit makes
     sizes = np.fromiter(map(len, matchings), np.int64, n_m)
@@ -227,10 +349,7 @@ def _audit_arrays(
     if unknown.any():
         for mu in matchings[: row[unknown.argmax()] + 1]:
             _require_auditable(m, mu)  # raises for the first refused matching
-    ccount = np.bincount(row * n_c + c, minlength=n_m * n_c).reshape(n_m, n_c)
-    rcount = np.bincount(row * n_r + r, minlength=n_m * n_r).reshape(n_m, n_r)
-    infeasible = (ccount > cq).any(1) | (rcount > rq).any(1)
-    infeasible[row[~region[c, r]]] = True
+    infeasible = _counts(m, _region_table(m), n_m, row, c, r)[2]
     e = entry_of[(s * n_c + c) * n_r + r]
     irrational = np.zeros(n_m, bool)
     irrational[row[e < 0]] = True
@@ -244,22 +363,96 @@ def _audit_arrays(
         )
     P = np.repeat(lengths[None, :], n_m, axis=0)
     P[row, s] = j_e[e]
-    col = np.full((n_m, n), -1)
-    col[row, s] = c
-    res = np.full((n_m, n), -1)
-    res[row, s] = r
+    return P, _audit_rows(m, _contract_table(m), P)[0]
+
+
+def _audit_rows(
+    m: Market, table: tuple[tuple, ...], P: np.ndarray
+) -> tuple[list[BlockingReport], tuple[np.ndarray, ...]]:
+    """The audit of each matching of the position rows P, in order, and
+    five boolean arrays over the rows: stable, envy_free, non_wasteful,
+    weakly_stable and direct_envy_stable, the census's flag sets.
+
+    table is m's contract table (see _walk). Each row holds first
+    listings, as the walk's rows and _position_matrix's do.
+
+    For one market the candidates are fixed: entry e of the candidate table
+    is student s_e's pair (c_e, r_e) at list position j_e. A matching only
+    decides which entries are candidates (those above her assignment) and
+    the counts they are tested against, so each of audit's tests is one
+    array operation over the M x L (matchings x entries) grid. Whether e
+    has a victim depends only on the worst rank at c_e among its holders,
+    and among its holders of r_e (see blocking._scan), so the victims
+    themselves are listed only for the envy blocks, to name the witnesses.
+    Rows go in blocks of about _BLOCK_CELLS cells. Witnesses are listed in
+    row-major order, which is the scan's student-then-list order, so every
+    report equals audit(m, mu).
+
+    Raises audit's ValueError if some row breaks a quota or a region.
+    """
+    n, n_c, n_r = m.n_students, m.n_colleges, m.n_resources + 1
+    n_m = len(P)
+    lengths, offsets, s_e, j_e, c_e, r_e = _entries(m)
+    n_e = len(s_e)
+    xs = [x for contracts in table for x in contracts[:-1]]
+
+    # rank[c, s] = c's 1-based rank of s, or -1 when c does not rank her;
+    # the last row, all -1, stands for no college
+    rank = np.array(
+        [[-1 if v is None else v for v in row] for row in (*m._rank, [None] * n)],
+        np.int64,
+    ).reshape(n_c + 1, n)
+    rank_e = rank[c_e, s_e]
+    ranked_e = rank_e > 0
+    # below[e, t]: c_e ranks s_e above student t, who is ranked too
+    below = ranked_e[:, None] & (rank[c_e] > rank_e[:, None])
+    # dominates[f, e]: a clean f at the same (c, r) dominates waste block e,
+    # as float32 so that the product below runs in BLAS
+    dominates = (
+        (c_e[:, None] == c_e)
+        & (r_e[:, None] == r_e)
+        & ranked_e[:, None]
+        & ranked_e
+        & (rank_e[:, None] < rank_e)
+    ).astype(np.float32)
+    cq = np.array(m.college_quotas, np.int64)
+    # the empty resource never fills: n + 1 units is more than n students hold
+    rq = np.array((n + 1, *m.resource_quotas), np.int64)
+    cq_e, rq_e = cq[c_e], rq[r_e]
+    region = _region_table(m)
+    region_e = region[c_e, r_e]
+    empty_e = r_e == EMPTY_RESOURCE
+    n_pairs = n_c * n_r
+    pair_e = c_e * n_r + r_e
+
+    # each student's entry in each row (n_e when she is unmatched), the
+    # college and resource it names (-1 when unmatched), her pair's key
+    # (n_pairs when unmatched) and her rank at her college (-1 when
+    # unmatched or unranked)
+    matched = P < lengths
+    ent = np.where(matched, offsets + P, n_e)
+    col = np.append(c_e, -1)[ent]
+    res = np.append(r_e, -1)[ent]
+    pair = np.append(pair_e, n_pairs)[ent]
+    held = rank[col, np.arange(n)]
+    row = np.nonzero(matched)[0]
+    ccount, rcount, infeasible = _counts(
+        m, region, n_m, row, col[matched], res[matched]
+    )
+    if infeasible.any():
+        raise ValueError("matching is not feasible")
 
     waste_of = [w for x in xs for w in ((x, SEAT), (x, RESOURCE))]
-    by_entry = entry_of.tolist()
-    per_row: list[list] = [[] for _ in range(6)]
+    per_row: list[list[np.ndarray]] = [[] for _ in range(6)]
     waste_flat: list = []
     envy_flat: list = []
-    step = max(1, _BLOCK_CELLS // max(1, len(xs) * n))
+    step = max(1, _BLOCK_CELLS // max(1, n_e * n, n_pairs))
     for lo in range(0, n_m, step):
         rows = slice(lo, lo + step)
+        col_b, res_b = col[rows], res[rows]
         active = P[rows][:, s_e] > j_e
-        at_c = col[rows][:, s_e] == c_e
-        had_r = res[rows][:, s_e] == r_e
+        at_c = col_b[:, s_e] == c_e
+        had_r = res_b[:, s_e] == r_e
         # holders of c_e and of r_e once s_e leaves
         left_c = ccount[rows][:, c_e] - at_c
         left_r = rcount[rows][:, r_e] - had_r
@@ -269,63 +462,72 @@ def _audit_arrays(
         swap = left_c <= cq_e
         swap_any = swap & unit
         swap_r = swap & region_e & (left_r <= rq_e)
-        holds_r = res[rows][:, None, :] == r_e[:, None]
-        victims = (
-            (col[rows][:, None, :] == c_e[:, None])
-            & below
-            & (swap_any[..., None] | (swap_r[..., None] & holds_r))
-        )
-        envy = active & victims.any(2)
-        direct = envy & (empty_e | (victims & holds_r).any(2))
+        # the worst rank among each pair's holders (the last column for the
+        # unmatched), and among each college's
+        b = len(active)
+        worst = np.full((b, n_pairs + 1), -1)
+        np.maximum.at(worst, (np.arange(b)[:, None], pair[rows]), held[rows])
+        worst_c = worst[:, :n_pairs].reshape(b, n_c, n_r).max(2)
+        # some holder of c_e, or of (c_e, r_e), ranks below s_e
+        below_c = ranked_e & (worst_c[:, c_e] > rank_e)
+        below_r = ranked_e & (worst[:, pair_e] > rank_e)
+        envy = active & ((swap_any & below_c) | (swap_r & below_r))
+        direct = envy & (empty_e | (swap_r & below_r))
         clean = active & ranked_e & ~waste & ~direct
         no_direct = ~direct.any(1)
         full = ~empty_e & (rcount[rows][:, r_e] == rq_e)
         weakly = no_direct & ~(waste & ~full).any(1)
-        des = no_direct & ~(waste & ~(clean @ dominates)).any(1)
+        des = no_direct & ~(waste & ((clean @ dominates) == 0)).any(1)
         n_resource = (waste & at_c).sum(1)
         for out, a in zip(
             per_row, (waste.sum(1), n_resource, envy.sum(1), direct.sum(1), weakly, des)
         ):
-            out += a.tolist()
+            out.append(a)
 
         wi, we = np.nonzero(waste)
         waste_flat += map(waste_of.__getitem__, (2 * we + at_c[wi, we]).tolist())
-        # one witness per distinct (entry, victims): a victim t is coded as
-        # her resource + 1, a non-victim as 0
+        # one witness per distinct (entry, victims): a victim is coded as
+        # her entry + 1, a non-victim as 0
         ei, ee = np.nonzero(envy)
         if not len(ei):
             continue
-        coded = np.column_stack((ee, np.where(victims[ei, ee], res[rows][ei] + 1, 0)))
-        first, group = _distinct_rows(coded)
-        witnesses = []
-        for (x_e, *codes), d in zip(
-            coded[first].tolist(), direct[ei[first], ee[first]].tolist()
-        ):
-            cx = int(c_e[x_e])
-            victims_of = tuple(
-                xs[by_entry[(t * n_c + cx) * n_r + code - 1]]
-                for t, code in enumerate(codes)
-                if code
+        holds_r = res_b[ei] == r_e[ee, None]
+        victims = (
+            (col_b[ei] == c_e[ee, None])
+            & below[ee]
+            & (swap_any[ei, ee, None] | (swap_r[ei, ee, None] & holds_r))
+        )
+        coded = np.column_stack((ee, np.where(victims, ent[rows][ei] + 1, 0)))
+        first, group = _distinct_rows(coded, n_e)
+        witnesses = [
+            (xs[x_e], tuple(xs[code - 1] for code in codes if code), d)
+            for (x_e, *codes), d in zip(
+                coded[first].tolist(), direct[ei[first], ee[first]].tolist()
             )
-            witnesses.append((xs[x_e], victims_of, d))
+        ]
         envy_flat += map(witnesses.__getitem__, group.tolist())
 
+    columns = [np.concatenate(a) for a in per_row]
     reports = []
     w_at = e_at = 0
-    for n_waste, n_resource, n_envy, n_direct, weakly_stable, des in zip(*per_row):
+    for n_w, n_res, n_env, n_dir, weakly_stable, direct_envy_stable in zip(
+        *(a.tolist() for a in columns)
+    ):
         reports.append(
             _make_report(
-                tuple(waste_flat[w_at : w_at + n_waste]),
-                tuple(envy_flat[e_at : e_at + n_envy]),
-                n_resource,
-                n_direct,
+                tuple(waste_flat[w_at : w_at + n_w]),
+                tuple(envy_flat[e_at : e_at + n_env]),
+                n_res,
+                n_dir,
                 weakly_stable,
-                des,
+                direct_envy_stable,
             )
         )
-        w_at += n_waste
-        e_at += n_envy
-    return P, reports
+        w_at += n_w
+        e_at += n_env
+    n_waste, _n_resource, n_envy, _n_direct, weakly, des = columns
+    no_waste, no_envy = n_waste == 0, n_envy == 0
+    return reports, (no_waste & no_envy, no_envy, no_waste, weakly, des)
 
 
 def _flat_ints(items, count: int) -> np.ndarray:
@@ -333,13 +535,24 @@ def _flat_ints(items, count: int) -> np.ndarray:
     return np.fromiter(chain.from_iterable(items), np.int64, count)
 
 
-def _distinct_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The index of one row of each distinct row of a, and for each row of
-    a the position of its distinct row in the first array."""
-    order = np.lexsort(a.T)
-    a = a[order]
+def _distinct_rows(a: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """The index of one row of each distinct row of a, whose values lie in
+    0..top, and for each row of a the position of its distinct row in the
+    first array.
+
+    The rows are sorted on keys that pack as many columns each as fit in
+    63 bits, so no key overflows."""
+    bits = max(1, top.bit_length())
+    per = 63 // bits
+    keys = []
+    for lo in range(0, a.shape[1], per):
+        part = a[:, lo : lo + per]
+        # disjoint bit fields, so the sum is their OR
+        keys.append((part << bits * np.arange(part.shape[1] - 1, -1, -1)).sum(1))
+    order = np.lexsort(keys[::-1])
+    keys = np.array(keys)[:, order]
     new = np.ones(len(a), bool)
-    new[1:] = (a[1:] != a[:-1]).any(1)
+    new[1:] = (keys[:, 1:] != keys[:, :-1]).any(0)
     group = np.empty_like(order)
     group[order] = np.cumsum(new) - 1
     return order[new], group
@@ -352,9 +565,16 @@ def is_pareto_efficient(
 
     A dominating matching weakly improves every student over an individually
     rational one, so it is itself individually rational; searching the
-    enumerated IR set therefore loses nothing.
+    walk's rows therefore loses nothing.
+
+    Raises:
+        ValueError: some student lists an unknown pair, or mu names an
+            unknown id.
+        OracleBoundError: as _walk.
     """
-    P = _position_matrix(m, enumerate_matchings(m, bound))
+    _require_known_pairs(m)
+    _check_ids(m, mu)
+    P = np.array(_walk(m, bound)[1], np.int64)
     return not _dominated_rows(P, _position_matrix(m, [mu]))[0]
 
 
@@ -362,11 +582,13 @@ def is_pareto_efficient(
 class StabilityCensus:
     """Audit of every feasible IR matching of one market.
 
-    The sets hold indices into `matchings`. The census only reports what the
-    audits found; it deliberately enforces no inclusion between the sets.
+    The sets hold indices into `matchings`, a tuple-like sequence that
+    builds each Matching when it is first read. The census only reports
+    what the audits found; it deliberately enforces no inclusion between
+    the sets.
     """
 
-    matchings: tuple[Matching, ...]
+    matchings: Sequence[Matching]
     reports: tuple[BlockingReport, ...]
     stable: tuple[int, ...]
     envy_free: tuple[int, ...]
@@ -388,15 +610,14 @@ CENSUS_SETS = tuple(f.name for f in fields(StabilityCensus))[2:]
 
 def census(m: Market, bound: int = DEFAULT_BOUND) -> StabilityCensus:
     """Enumerate, audit, and classify every feasible IR matching."""
-    matchings = enumerate_matchings(m, bound)
-    P, reports = _audit_arrays(m, matchings)
-    pareto = tuple(int(i) for i in np.flatnonzero(~_dominated_rows(P, P)))
+    table, rows = _walk(m, bound)
+    P = np.array(rows, np.int64)
+    reports, flags = _audit_rows(m, table, P)
     # every set but the last, the Pareto skyline, is a report flag
-    flagged = (
-        tuple(i for i, rep in enumerate(reports) if getattr(rep, name))
-        for name in CENSUS_SETS[:-1]
+    sets = (
+        tuple(np.flatnonzero(a).tolist()) for a in (*flags, ~_dominated_rows(P, P))
     )
-    return StabilityCensus(tuple(matchings), tuple(reports), *flagged, pareto)
+    return StabilityCensus(_Matchings(table, P), tuple(reports), *sets)
 
 
 def naive_audit(m: Market, mu: Matching) -> BlockingReport:

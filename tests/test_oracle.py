@@ -5,6 +5,10 @@ the fixture markets, then frozen. A change in any tuple means the blocking
 semantics moved, not that the test needs updating.
 """
 
+import pickle
+from dataclasses import replace
+from itertools import permutations, product
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -12,17 +16,23 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from capmatch import (
+    MECHANISMS,
     Contract,
     Market,
     Matching,
     OracleBoundError,
     audit,
     census,
+    cutoffs_of,
     enumerate_matchings,
+    fixture_names,
+    induced_matching,
     is_feasible,
     is_individually_rational,
+    is_optimal,
     is_pareto_efficient,
     load_fixture,
+    replay_trace,
     strategyproofness_probe,
     validate_market,
 )
@@ -210,6 +220,13 @@ def test_pareto_efficiency_on_the_two_by_two_market():
     assert not is_pareto_efficient(m, Matching([Contract(1, 0, 1)]))
 
 
+@pytest.mark.parametrize("x, name", [(Contract(-1, 0, 1), -1), (Contract(9, 0, 0), 9)])
+def test_pareto_efficiency_refuses_an_unknown_student(x, name):
+    # -1 must not be read as the last student, nor 9 fail on an index
+    with pytest.raises(ValueError, match=f"^unknown student id {name}$"):
+        is_pareto_efficient(load_fixture("example1"), Matching([x]))
+
+
 def test_probe_finds_the_truncation_misreport():
     # on the zero-resource two-college market, reporting only the top pair
     # flips the outcome from the second choice to the first under every
@@ -287,9 +304,10 @@ def test_dominated_rows_is_pairwise_pareto_domination(P):
 
 
 @st.composite
-def small_markets(draw):
+def small_markets(draw, complete=False):
     """Markets of up to four students whose college lists may leave students
-    out, with R = 0 and empty preference lists among them."""
+    out, with R = 0 and empty preference lists among them. With complete,
+    every college ranks every student, as the mechanisms require."""
     n = draw(st.integers(0, 4))
     n_c = draw(st.integers(1, 3))
     n_r = draw(st.integers(0, 2))
@@ -300,7 +318,10 @@ def small_markets(draw):
         draw(st.lists(st.integers(1, 2), min_size=n_c, max_size=n_c)),
         draw(st.lists(st.integers(1, 2), min_size=n_r, max_size=n_r)),
         [draw(st.sets(st.sampled_from(colleges), min_size=1)) for _ in range(n_r)],
-        [draw(st.permutations(range(n)))[: draw(st.integers(0, n))] for _ in colleges],
+        [
+            draw(st.permutations(range(n)))[: n if complete else draw(st.integers(0, n))]
+            for _ in colleges
+        ],
         [
             draw(st.permutations(pairs))[: draw(st.integers(0, min(4, len(pairs))))]
             for _ in range(n)
@@ -312,6 +333,8 @@ def small_markets(draw):
 @given(small_markets())
 @example(Market(2, [1], [], [], [[1]], [[(0, 0)], [(0, 0)]]))
 @example(Market(3, [1, 2], [1], [[1]], [[0, 2], [2, 1, 0]], [[], [(1, 1), (0, 0)], []]))
+@example(Market(1, [], [], [], [], [[]]))  # no college
+@example(Market(0, [], [], [], [], []))
 def test_naive_audit_agrees_with_audit_and_the_census(m):
     """On every matching of a random small market, the definitional audit,
     the scan and the census's array audit give equal reports, witnesses
@@ -319,3 +342,115 @@ def test_naive_audit_agrees_with_audit_and_the_census(m):
     result = census(m)
     for mu, rep in zip(result.matchings, result.reports):
         assert rep == audit(m, mu) == naive_audit(m, mu), mu
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_markets(complete=True), st.integers(0, 2**32 - 1))
+def test_cutoff_mechanisms_end_in_the_census_direct_envy_stable_set(m, seed):
+    des = set(census(m).set_of("direct_envy_stable"))
+    for name in ("irc", "imc", "idc"):
+        assert MECHANISMS[name](m, seed=seed).matching in des, name
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_markets(complete=True), st.integers(0, 2**32 - 1))
+def test_cutoffs_of_round_trips_optimal_profiles(m, seed):
+    """The profile an optimal profile induces its matching from is the one
+    cutoffs_of reads back from that matching: on the terminal profiles of
+    the cutoff mechanisms, and on the profile of every direct-envy stable
+    matching of the census."""
+    profiles = [MECHANISMS[name](m, seed=seed).profile for name in ("irc", "imc", "idc")]
+    profiles += [cutoffs_of(m, mu) for mu in census(m).set_of("direct_envy_stable")]
+    for k in profiles:
+        assert is_optimal(m, k)
+        assert cutoffs_of(m, induced_matching(m, k)) == k
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_markets(complete=True), st.integers(0, 2**32 - 1))
+def test_every_trace_replays_to_its_matching(m, seed):
+    for name, run in MECHANISMS.items():
+        trace = run(m, seed=seed)
+        assert replay_trace(m, trace) == trace.matching, name
+
+
+def test_every_tiny_shared_unit_market_has_a_direct_envy_stable_matching():
+    """Existence of a direct-envy stable matching, checked outright on every
+    market of one tiny shape: two students, two colleges of one seat each,
+    one unit that both colleges may hand out, every pair of priority orders
+    and, for each student, every ordered sublist of the four pairs. That is
+    4 x 65 x 65 = 16,900 markets."""
+    pairs = [(c, r) for c in range(2) for r in range(2)]
+    lists = [list(p) for k in range(len(pairs) + 1) for p in permutations(pairs, k)]
+    orders = [list(p) for p in permutations(range(2))]
+    markets = 0
+    for priorities in product(orders, repeat=2):
+        for preferences in product(lists, repeat=2):
+            m = Market(2, [1, 1], [1], [[0, 1]], list(priorities), list(preferences))
+            assert census(m).direct_envy_stable, (priorities, preferences)
+            markets += 1
+    assert markets == 16_900
+
+
+def test_the_walk_lists_each_matching_in_student_order():
+    """enumerate_matchings builds each Matching from the walk's contracts
+    without sorting or checking them, so they must come one per student, in
+    student order, as exact Contracts: then each equals the Matching the
+    public constructor builds from the same contracts."""
+    seen = 0
+    for name in fixture_names():
+        for mu in enumerate_matchings(load_fixture(name)):
+            students = [x.student for x in mu]
+            assert students == sorted(set(students))
+            assert all(type(x) is Contract for x in mu)
+            built = Matching(list(mu)[::-1])
+            assert mu == built and hash(mu) == hash(built)
+            seen += 1
+    assert seen > 100
+
+
+def test_census_matchings_behave_as_the_tuple_of_the_enumeration():
+    """A census builds its matchings when they are read. The sequence must
+    equal the enumeration's tuple from either side, with the same hash, and
+    index, slice, search, count, print and pickle as that tuple does."""
+    for name in fixture_names():
+        m = load_fixture(name)
+        expected = tuple(enumerate_matchings(m))
+        cen = census(m)
+        lazy = cen.matchings
+        assert lazy == expected and expected == lazy
+        assert not lazy != expected and not expected != lazy
+        assert hash(lazy) == hash(expected)
+        assert len(lazy) == len(expected)
+        assert list(lazy) == list(expected)
+        assert repr(lazy) == repr(expected)
+        for i in (0, 1, -1, -len(expected)):
+            assert lazy[i] == expected[i]
+        for cut in (slice(1, 3), slice(None, None, -1), slice(-2, None), slice(5, 1)):
+            assert type(lazy[cut]) is tuple and lazy[cut] == expected[cut]
+        last = expected[-1]
+        assert last in lazy and Matching([Contract(0, 0, 9)]) not in lazy
+        assert lazy.index(last) == expected.index(last) == len(expected) - 1
+        assert lazy.count(last) == 1
+        with pytest.raises(ValueError):
+            lazy.index(last, 0, len(expected) - 1)
+        with pytest.raises(IndexError, match="^tuple index out of range$"):
+            lazy[len(expected)]
+        assert pickle.loads(pickle.dumps(lazy)) == expected
+        assert pickle.loads(pickle.dumps(cen)) == cen
+        assert replace(cen, matchings=expected) == cen
+        assert cen.set_of("pareto_efficient") == [
+            expected[i] for i in cen.pareto_efficient
+        ]
+
+
+def test_two_censuses_compare_equal_without_building_a_matching():
+    """Equal contract tables and equal rows make two census sequences
+    equal; the comparison builds no Matching. Sequences of different
+    markets fall back to comparing the matchings."""
+    m = load_fixture("prop4")
+    a, b = census(m).matchings, census(m).matchings
+    assert a == b
+    assert a._built == b._built == [None] * len(a)
+    other = census(load_fixture("prop2")).matchings
+    assert a != other and other != a
