@@ -147,10 +147,14 @@ def _matching_of(table: tuple[tuple, ...], row: Sequence[int]) -> Matching:
 
 
 def enumerate_matchings(m: Market, bound: int = DEFAULT_BOUND) -> list[Matching]:
-    """All feasible individually rational matchings of m, in walk order
-    (see _walk, which raises for an unknown pair or an exceeded bound).
+    """All feasible individually rational matchings of m, in the walk's
+    order (see _walk). The result is duplicate-free when no student lists
+    a pair twice.
 
-    The result is duplicate-free when no student lists a pair twice.
+    Raises:
+        ValueError: some student lists an unknown college or resource.
+        OracleBoundError: the unpruned choice tree exceeds `bound` leaves,
+            or the walk finds more than _MAX_MATCHINGS matchings.
     """
     table, rows = _walk(m, bound)
     return [_matching_of(table, row) for row in rows]

@@ -220,10 +220,10 @@ def test_pareto_efficiency_on_the_two_by_two_market():
     assert not is_pareto_efficient(m, Matching([Contract(1, 0, 1)]))
 
 
-@pytest.mark.parametrize("x, name", [(Contract(-1, 0, 1), -1), (Contract(9, 0, 0), 9)])
-def test_pareto_efficiency_refuses_an_unknown_student(x, name):
+@pytest.mark.parametrize("x", [Contract(-1, 0, 1), Contract(9, 0, 0)])
+def test_pareto_efficiency_refuses_an_unknown_student(x):
     # -1 must not be read as the last student, nor 9 fail on an index
-    with pytest.raises(ValueError, match=f"^unknown student id {name}$"):
+    with pytest.raises(ValueError, match=f"^unknown student id {x.student}$"):
         is_pareto_efficient(load_fixture("example1"), Matching([x]))
 
 
@@ -319,7 +319,9 @@ def small_markets(draw, complete=False):
         draw(st.lists(st.integers(1, 2), min_size=n_r, max_size=n_r)),
         [draw(st.sets(st.sampled_from(colleges), min_size=1)) for _ in range(n_r)],
         [
-            draw(st.permutations(range(n)))[: n if complete else draw(st.integers(0, n))]
+            draw(st.permutations(range(n)))[
+                : n if complete else draw(st.integers(0, n))
+            ]
             for _ in colleges
         ],
         [
@@ -359,7 +361,7 @@ def test_cutoffs_of_round_trips_optimal_profiles(m, seed):
     cutoffs_of reads back from that matching: on the terminal profiles of
     the cutoff mechanisms, and on the profile of every direct-envy stable
     matching of the census."""
-    profiles = [MECHANISMS[name](m, seed=seed).profile for name in ("irc", "imc", "idc")]
+    profiles = [MECHANISMS[k](m, seed=seed).profile for k in ("irc", "imc", "idc")]
     profiles += [cutoffs_of(m, mu) for mu in census(m).set_of("direct_envy_stable")]
     for k in profiles:
         assert is_optimal(m, k)
@@ -442,6 +444,15 @@ def test_census_matchings_behave_as_the_tuple_of_the_enumeration():
         assert cen.set_of("pareto_efficient") == [
             expected[i] for i in cen.pareto_efficient
         ]
+
+
+def test_the_row_audit_refuses_a_row_over_quota():
+    # both students at their first choice hold the one unit twice
+    m = load_fixture("example1")
+    table = oracle._contract_table(m)
+    assert len(oracle._audit_rows(m, table, np.array([[0, 2], [2, 0]]))[0]) == 2
+    with pytest.raises(ValueError, match="^matching is not feasible$"):
+        oracle._audit_rows(m, table, np.array([[0, 2], [0, 0]]))
 
 
 def test_two_censuses_compare_equal_without_building_a_matching():
