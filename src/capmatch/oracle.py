@@ -16,7 +16,11 @@ census audits all of a market's rows at once (_audit_rows). The market's
 list entries are fixed, and a matching only decides which of them are
 candidates and the counts and holders' ranks they are tested against, so
 each of audit's tests is one array operation over the matchings-by-entries
-grid, in blocks of rows of about _BLOCK_CELLS cells. A lone audit keeps
+grid, in blocks of rows of about _BLOCK_CELLS cells. It keeps only arrays:
+per-row counts and flags, and every witness as a code. A census's
+`reports` builds the witnesses and each report only when they are read
+(_Reports), and two censuses compare their arrays. Both lazy sequences
+share one tuple-like base (_LazyTuple). A lone audit keeps
 blocking's one-matching scan, whose memory does not grow with the list
 lengths times n: the census covers small markets, the scan the
 mechanisms' outputs at any size.
@@ -160,21 +164,29 @@ def enumerate_matchings(m: Market, bound: int = DEFAULT_BOUND) -> list[Matching]
     return [_matching_of(table, row) for row in rows]
 
 
-class _Matchings(Sequence):
-    """A census's matchings: a tuple-like sequence over the walk's position
-    rows that builds each Matching when it is first read, and keeps it.
+class _LazyTuple(Sequence):
+    """A tuple-like sequence over a contract table and arrays that builds
+    each item when it is first read, and keeps it.
 
-    It indexes, slices (into a tuple), iterates, compares, hashes, prints
-    and pickles as the tuple of its matchings. Two such sequences with
-    equal tables and equal rows are equal without building any matching.
+    It indexes (negative indices too), slices (into a tuple), iterates,
+    searches, counts, compares from either side, hashes, prints and
+    pickles as the tuple of its items. A subclass says how to build items
+    lo..hi-1 (_build); the first array holds one entry per item.
+    Iterating builds every item not yet built in one _build call. Two
+    sequences of one class with equal tables and equal arrays are equal
+    without building any item; any other pair compares the items.
     """
 
-    __slots__ = ("_table", "_rows", "_built")
+    __slots__ = ("_table", "_arrays", "_built", "_unbuilt")
 
-    def __init__(self, table: tuple[tuple, ...], rows: np.ndarray):
+    def __init__(self, table: tuple[tuple, ...], *arrays: np.ndarray):
         self._table = table
-        self._rows = rows
-        self._built: list[Optional[Matching]] = [None] * len(rows)
+        self._arrays = arrays
+        self._unbuilt = len(arrays[0])
+        self._built: list = [None] * self._unbuilt
+
+    def _build(self, lo: int, hi: int) -> list:
+        raise NotImplementedError
 
     def __len__(self) -> int:
         return len(self._built)
@@ -182,16 +194,25 @@ class _Matchings(Sequence):
     def __getitem__(self, i):
         if isinstance(i, slice):
             return tuple(map(self.__getitem__, range(len(self))[i]))
+        built = self._built
         try:
-            mu = self._built[i]
+            x = built[i]
         except IndexError:
             raise IndexError("tuple index out of range") from None
-        if mu is None:
-            mu = self._built[i] = _matching_of(self._table, self._rows[i].tolist())
-        return mu
+        if x is None:
+            i = range(len(built))[i]
+            x = built[i] = self._build(i, i + 1)[0]
+            self._unbuilt -= 1
+        return x
 
     def __iter__(self):
-        return map(self.__getitem__, range(len(self)))
+        if self._unbuilt:
+            fresh = self._build(0, len(self))
+            if self._unbuilt < len(fresh):  # keep the items already read
+                fresh = [f if x is None else x for x, f in zip(self._built, fresh)]
+            self._built = fresh
+            self._unbuilt = 0
+        return iter(self._built)
 
     def __contains__(self, x) -> bool:
         return x in tuple(self)
@@ -203,9 +224,11 @@ class _Matchings(Sequence):
         return tuple(self).count(x)
 
     def __eq__(self, other):
-        if isinstance(other, _Matchings):
-            if self._table == other._table and np.array_equal(
-                self._rows, other._rows
+        if isinstance(other, _LazyTuple):
+            if (
+                type(self) is type(other)
+                and self._table == other._table
+                and all(map(np.array_equal, self._arrays, other._arrays))
             ):
                 return True
         elif not isinstance(other, tuple):
@@ -219,7 +242,86 @@ class _Matchings(Sequence):
         return repr(tuple(self))
 
     def __reduce__(self):
-        return _Matchings, (self._table, self._rows)
+        return type(self), (self._table, *self._arrays)
+
+
+class _Matchings(_LazyTuple):
+    """A census's matchings, built from the walk's position rows (see
+    _walk): _Matchings(table, rows)."""
+
+    __slots__ = ()
+
+    def _build(self, lo: int, hi: int) -> list[Matching]:
+        table = self._table
+        return [_matching_of(table, row) for row in self._arrays[0][lo:hi].tolist()]
+
+
+class _Reports(_LazyTuple):
+    """A census's reports, built from the array audit's arrays (see
+    _audit_rows): the six per-row columns n_waste, n_resource, n_envy,
+    n_direct, weakly and des, the waste codes 2 * entry + (kind is
+    resource), the coded envy rows (entry, victim codes...) with a victim
+    coded as her entry + 1 and a non-victim as 0, and their direct bits.
+    The codes run in row-major order, so each row's witnesses follow the
+    previous row's.
+
+    The first read builds every witness: one shared tuple per (entry,
+    kind), and one per distinct coded envy row. Each report is then
+    _make_report of its row's witnesses and columns, as audit builds it.
+    """
+
+    __slots__ = ("_witnesses",)
+
+    def __init__(self, table: tuple[tuple, ...], *arrays: np.ndarray):
+        super().__init__(table, *arrays)
+        self._witnesses: Optional[tuple] = None
+
+    def _flat(self) -> tuple[list, list, np.ndarray, np.ndarray]:
+        """Every row's waste and envy witnesses, in row order, and where
+        each row's first waste and envy witness sits."""
+        if self._witnesses is None:
+            n_waste, _n_res, n_envy, *_flags, waste_codes, coded, direct = self._arrays
+            xs = [x for contracts in self._table for x in contracts[:-1]]
+            waste_of = [w for x in xs for w in ((x, SEAT), (x, RESOURCE))]
+            envy = []
+            if len(coded):
+                # one shared witness per distinct coded row
+                first, group = _distinct_rows(coded, len(xs))
+                witnesses = [
+                    (xs[x_e], tuple(xs[code - 1] for code in codes if code), d)
+                    for (x_e, *codes), d in zip(
+                        coded[first].tolist(), direct[first].tolist()
+                    )
+                ]
+                envy = list(map(witnesses.__getitem__, group.tolist()))
+            self._witnesses = (
+                list(map(waste_of.__getitem__, waste_codes.tolist())),
+                envy,
+                np.cumsum(n_waste) - n_waste,
+                np.cumsum(n_envy) - n_envy,
+            )
+        return self._witnesses
+
+    def _build(self, lo: int, hi: int) -> list[BlockingReport]:
+        waste, envy, w_start, e_start = self._flat()
+        w_at, e_at = int(w_start[lo]), int(e_start[lo])
+        reports = []
+        for n_w, n_res, n_env, n_dir, weakly_stable, direct_envy_stable in zip(
+            *(a[lo:hi].tolist() for a in self._arrays[:6])
+        ):
+            reports.append(
+                _make_report(
+                    tuple(waste[w_at : w_at + n_w]),
+                    tuple(envy[e_at : e_at + n_env]),
+                    n_res,
+                    n_dir,
+                    weakly_stable,
+                    direct_envy_stable,
+                )
+            )
+            w_at += n_w
+            e_at += n_env
+        return reports
 
 
 def _position_matrix(m: Market, matchings: Sequence[Matching]) -> np.ndarray:
@@ -367,15 +469,16 @@ def _audit_arrays(
         )
     P = np.repeat(lengths[None, :], n_m, axis=0)
     P[row, s] = j_e[e]
-    return P, _audit_rows(m, _contract_table(m), P)[0]
+    return P, list(_audit_rows(m, _contract_table(m), P)[0])
 
 
 def _audit_rows(
     m: Market, table: tuple[tuple, ...], P: np.ndarray
-) -> tuple[list[BlockingReport], tuple[np.ndarray, ...]]:
-    """The audit of each matching of the position rows P, in order, and
-    five boolean arrays over the rows: stable, envy_free, non_wasteful,
-    weakly_stable and direct_envy_stable, the census's flag sets.
+) -> tuple[_Reports, tuple[np.ndarray, ...]]:
+    """The audit of each matching of the position rows P, in order, as a
+    _Reports that builds each report when it is read, and five boolean
+    arrays over the rows: stable, envy_free, non_wasteful, weakly_stable
+    and direct_envy_stable, the census's flag sets.
 
     table is m's contract table (see _walk). Each row holds first
     listings, as the walk's rows and _position_matrix's do.
@@ -388,9 +491,10 @@ def _audit_rows(
     has a victim depends only on the worst rank at c_e among its holders,
     and among its holders of r_e (see blocking._scan), so the victims
     themselves are listed only for the envy blocks, to name the witnesses.
-    Rows go in blocks of about _BLOCK_CELLS cells. Witnesses are listed in
-    row-major order, which is the scan's student-then-list order, so every
-    report equals audit(m, mu).
+    Rows go in blocks of about _BLOCK_CELLS cells. Only arrays are kept:
+    the per-row counts and flags, and the witnesses as codes in row-major
+    order, which is the scan's student-then-list order, so every report
+    equals audit(m, mu).
 
     Raises audit's ValueError if some row breaks a quota or a region.
     """
@@ -398,7 +502,6 @@ def _audit_rows(
     n_m = len(P)
     lengths, offsets, s_e, j_e, c_e, r_e = _entries(m)
     n_e = len(s_e)
-    xs = [x for contracts in table for x in contracts[:-1]]
 
     # rank[c, s] = c's 1-based rank of s, or -1 when c does not rank her;
     # the last row, all -1, stands for no college
@@ -446,10 +549,10 @@ def _audit_rows(
     if infeasible.any():
         raise ValueError("matching is not feasible")
 
-    waste_of = [w for x in xs for w in ((x, SEAT), (x, RESOURCE))]
     per_row: list[list[np.ndarray]] = [[] for _ in range(6)]
-    waste_flat: list = []
-    envy_flat: list = []
+    waste_codes = []
+    coded_rows = [np.zeros((0, n + 1), np.int64)]
+    direct_bits = [np.zeros(0, bool)]
     step = max(1, _BLOCK_CELLS // max(1, n_e * n, n_pairs))
     for lo in range(0, n_m, step):
         rows = slice(lo, lo + step)
@@ -489,9 +592,8 @@ def _audit_rows(
             out.append(a)
 
         wi, we = np.nonzero(waste)
-        waste_flat += map(waste_of.__getitem__, (2 * we + at_c[wi, we]).tolist())
-        # one witness per distinct (entry, victims): a victim is coded as
-        # her entry + 1, a non-victim as 0
+        waste_codes.append(2 * we + at_c[wi, we])
+        # a victim is coded as her entry + 1, a non-victim as 0
         ei, ee = np.nonzero(envy)
         if not len(ei):
             continue
@@ -501,37 +603,26 @@ def _audit_rows(
             & below[ee]
             & (swap_any[ei, ee, None] | (swap_r[ei, ee, None] & holds_r))
         )
-        coded = np.column_stack((ee, np.where(victims, ent[rows][ei] + 1, 0)))
-        first, group = _distinct_rows(coded, n_e)
-        witnesses = [
-            (xs[x_e], tuple(xs[code - 1] for code in codes if code), d)
-            for (x_e, *codes), d in zip(
-                coded[first].tolist(), direct[ei[first], ee[first]].tolist()
-            )
-        ]
-        envy_flat += map(witnesses.__getitem__, group.tolist())
+        coded_rows.append(
+            np.column_stack((ee, np.where(victims, ent[rows][ei] + 1, 0)))
+        )
+        direct_bits.append(direct[ei, ee])
 
     columns = [np.concatenate(a) for a in per_row]
-    reports = []
-    w_at = e_at = 0
-    for n_w, n_res, n_env, n_dir, weakly_stable, direct_envy_stable in zip(
-        *(a.tolist() for a in columns)
-    ):
-        reports.append(
-            _make_report(
-                tuple(waste_flat[w_at : w_at + n_w]),
-                tuple(envy_flat[e_at : e_at + n_env]),
-                n_res,
-                n_dir,
-                weakly_stable,
-                direct_envy_stable,
-            )
-        )
-        w_at += n_w
-        e_at += n_env
+    reports = _Reports(
+        table,
+        *columns,
+        *map(np.concatenate, (waste_codes, coded_rows, direct_bits)),
+    )
     n_waste, _n_resource, n_envy, _n_direct, weakly, des = columns
     no_waste, no_envy = n_waste == 0, n_envy == 0
     return reports, (no_waste & no_envy, no_envy, no_waste, weakly, des)
+
+
+def _row_matrix(m: Market, rows: list[tuple[int, ...]]) -> np.ndarray:
+    """The walk's rows as an M x n array. The shape is given, not inferred:
+    a market with no student has one empty row."""
+    return _flat_ints(rows, len(rows) * m.n_students).reshape(len(rows), m.n_students)
 
 
 def _flat_ints(items, count: int) -> np.ndarray:
@@ -578,7 +669,7 @@ def is_pareto_efficient(
     """
     _require_known_pairs(m)
     _check_ids(m, mu)
-    P = np.array(_walk(m, bound)[1], np.int64)
+    P = _row_matrix(m, _walk(m, bound)[1])
     return not _dominated_rows(P, _position_matrix(m, [mu]))[0]
 
 
@@ -586,14 +677,18 @@ def is_pareto_efficient(
 class StabilityCensus:
     """Audit of every feasible IR matching of one market.
 
-    The sets hold indices into `matchings`, a tuple-like sequence that
-    builds each Matching when it is first read. The census only reports
-    what the audits found; it deliberately enforces no inclusion between
-    the sets.
+    The sets hold indices into `matchings`. `matchings` and `reports` are
+    tuple-like sequences that build each Matching or BlockingReport when it
+    is first read, and compare, hash, print and pickle as the tuples of
+    their items; isinstance(..., tuple) holds for neither. Iterating over
+    `reports` builds every report in one pass. Two censuses compare their
+    walks' rows and their array audits' arrays, without building an item.
+    The census only reports what the audits found; it deliberately
+    enforces no inclusion between the sets.
     """
 
     matchings: Sequence[Matching]
-    reports: tuple[BlockingReport, ...]
+    reports: Sequence[BlockingReport]
     stable: tuple[int, ...]
     envy_free: tuple[int, ...]
     non_wasteful: tuple[int, ...]
@@ -615,13 +710,13 @@ CENSUS_SETS = tuple(f.name for f in fields(StabilityCensus))[2:]
 def census(m: Market, bound: int = DEFAULT_BOUND) -> StabilityCensus:
     """Enumerate, audit, and classify every feasible IR matching."""
     table, rows = _walk(m, bound)
-    P = np.array(rows, np.int64)
+    P = _row_matrix(m, rows)
     reports, flags = _audit_rows(m, table, P)
     # every set but the last, the Pareto skyline, is a report flag
     sets = (
         tuple(np.flatnonzero(a).tolist()) for a in (*flags, ~_dominated_rows(P, P))
     )
-    return StabilityCensus(_Matchings(table, P), tuple(reports), *sets)
+    return StabilityCensus(_Matchings(table, P), reports, *sets)
 
 
 def naive_audit(m: Market, mu: Matching) -> BlockingReport:

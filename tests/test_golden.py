@@ -39,8 +39,10 @@ from capmatch import (
     audit,
     census,
     enumerate_matchings,
+    envy_victims,
     fixture_names,
     generate_market,
+    is_direct_envy_blocking,
     is_dominated,
     is_feasible,
     is_pareto_efficient,
@@ -53,6 +55,7 @@ from capmatch import (
     run_iuc,
     run_rsd,
     validate_market,
+    waste_block_class,
 )
 from capmatch import oracle
 from capmatch.blocking import (
@@ -997,6 +1000,38 @@ def test_naive_audit_agrees_with_audit_and_the_census_on_every_census_matching()
             assert rep == audit(m, mu) == oracle.naive_audit(m, mu), mu
         matchings += len(result.matchings)
     assert matchings > 3000
+
+
+def test_per_contract_checks_agree_with_the_definitions_on_every_census_matching():
+    """The per-contract checks, held to oracle's definitional helpers: on
+    every census matching of census_markets(), every acceptable contract
+    outside the matching gets _naive_blocks' waste kind and victims and
+    _naive_direct's directness, and each waste block is dominated exactly
+    when _naive_dominated says so."""
+    checked = dict.fromkeys(("matchings", "contracts", "envy", "waste", "dominated"), 0)
+    for m in census_markets():
+        for mu in enumerate_matchings(m):
+            checked["matchings"] += 1
+            for s, prefs in enumerate(m.preferences):
+                for c, r in prefs:
+                    x = Contract(s, c, r)
+                    if x in mu:
+                        continue
+                    kind, victims = oracle._naive_blocks(m, mu, x)
+                    direct = bool(victims) and oracle._naive_direct(x, victims)
+                    assert waste_block_class(m, mu, x) == kind, (mu, x)
+                    assert envy_victims(m, mu, x) == victims, (mu, x)
+                    assert is_direct_envy_blocking(m, mu, x) == direct, (mu, x)
+                    checked["contracts"] += 1
+                    checked["envy"] += bool(victims)
+                    if kind is None:
+                        continue
+                    dominated = oracle._naive_dominated(m, mu, x)
+                    assert is_dominated(m, mu, x)[0] == dominated, (mu, x)
+                    checked["waste"] += 1
+                    checked["dominated"] += dominated
+    assert checked["matchings"] > 3000 and checked["contracts"] > 50_000, checked
+    assert min(checked.values()) > 0, checked
 
 
 def test_audit_matches_the_reference_on_mechanism_outputs():

@@ -446,6 +446,77 @@ def test_census_matchings_behave_as_the_tuple_of_the_enumeration():
         ]
 
 
+def test_census_reports_behave_as_the_tuple_of_lone_audits():
+    """A census builds its reports when they are read. The sequence must
+    equal the tuple of one lone audit per matching from either side, and
+    index, slice, search, count, print and pickle as that tuple does."""
+    for name in fixture_names():
+        m = load_fixture(name)
+        cen = census(m)
+        expected = tuple(audit(m, mu) for mu in enumerate_matchings(m))
+        lazy = cen.reports
+        assert lazy == expected and expected == lazy
+        assert not lazy != expected and not expected != lazy
+        assert len(lazy) == len(expected)
+        assert list(lazy) == list(expected)
+        assert repr(lazy) == repr(expected)
+        for i in (0, 1, -1, -len(expected)):
+            assert lazy[i] == expected[i]
+        for cut in (slice(1, 3), slice(None, None, -1), slice(-2, None), slice(5, 1)):
+            assert type(lazy[cut]) is tuple and lazy[cut] == expected[cut]
+        for rep in (expected[0], expected[-1]):
+            assert rep in lazy
+            assert lazy.index(rep) == expected.index(rep)
+            assert lazy.count(rep) == expected.count(rep)
+        absent = replace(expected[0], total=-1)
+        assert absent not in lazy and lazy.count(absent) == 0
+        with pytest.raises(ValueError):
+            lazy.index(absent)
+        with pytest.raises(IndexError, match="^tuple index out of range$"):
+            lazy[len(expected)]
+        assert pickle.loads(pickle.dumps(lazy)) == expected
+        assert pickle.loads(pickle.dumps(cen)) == cen
+        assert replace(cen, reports=expected) == cen
+        assert cen == replace(cen, reports=expected)
+
+
+def test_census_reports_read_one_first_then_all():
+    """Reading one report first builds only that slot; iterating then
+    builds the rest, keeps the one already read, and gives every report."""
+    for name in fixture_names():
+        m = load_fixture(name)
+        expected = [audit(m, mu) for mu in enumerate_matchings(m)]
+        lazy = census(m).reports
+        i = len(expected) // 2
+        first = lazy[i]
+        assert first == expected[i]
+        assert sum(rep is not None for rep in lazy._built) == 1
+        assert list(lazy) == expected
+        assert lazy[i] is first and list(lazy)[i] is first
+
+
+def test_two_censuses_compare_equal_without_building_a_report():
+    """Equal contract tables and equal audit arrays make two census report
+    sequences equal; the comparison builds no report. Sequences of
+    different markets fall back to comparing the reports."""
+    m = load_fixture("prop4")
+    a, b = census(m), census(m)
+    assert a == b
+    assert a.reports._built == b.reports._built == [None] * len(a.reports)
+    other = census(load_fixture("prop2")).reports
+    assert a.reports != other and other != a.reports
+
+
+def test_census_reports_are_the_same_over_several_blocks(monkeypatch):
+    """With blocks of 64 cells, which split the censuses of example2, prop2
+    and prop4 into 10 to 67 blocks of rows, every report, witnesses
+    included, equals the one-block census's once it is read."""
+    whole = {name: tuple(census(load_fixture(name)).reports) for name in fixture_names()}
+    monkeypatch.setattr(oracle, "_BLOCK_CELLS", 64)
+    for name, reports in whole.items():
+        assert tuple(census(load_fixture(name)).reports) == reports, name
+
+
 def test_the_row_audit_refuses_a_row_over_quota():
     # both students at their first choice hold the one unit twice
     m = load_fixture("example1")
