@@ -460,6 +460,9 @@ def test_census_reports_behave_as_the_tuple_of_lone_audits():
         assert len(lazy) == len(expected)
         assert list(lazy) == list(expected)
         assert repr(lazy) == repr(expected)
+        for seq in (lazy, expected):  # a report holds its counts in a dict
+            with pytest.raises(TypeError, match="unhashable type: 'dict'"):
+                hash(seq)
         for i in (0, 1, -1, -len(expected)):
             assert lazy[i] == expected[i]
         for cut in (slice(1, 3), slice(None, None, -1), slice(-2, None), slice(5, 1)):
@@ -498,13 +501,26 @@ def test_census_reports_read_one_first_then_all():
 def test_two_censuses_compare_equal_without_building_a_report():
     """Equal contract tables and equal audit arrays make two census report
     sequences equal; the comparison builds no report. Sequences of
-    different markets fall back to comparing the reports."""
+    different markets fall back to comparing the reports, also when only
+    the priorities differ, so that the tables and matchings are equal."""
     m = load_fixture("prop4")
     a, b = census(m), census(m)
     assert a == b
     assert a.reports._built == b.reports._built == [None] * len(a.reports)
     other = census(load_fixture("prop2")).reports
     assert a.reports != other and other != a.reports
+    flipped = census(
+        Market(
+            m.n_students,
+            m.college_quotas,
+            m.resource_quotas,
+            m.regions,
+            [p[::-1] for p in m.priorities],
+            m.preferences,
+        )
+    )
+    assert flipped.matchings == a.matchings
+    assert flipped.reports != a.reports and a.reports != flipped.reports
 
 
 def test_census_reports_are_the_same_over_several_blocks(monkeypatch):
