@@ -65,31 +65,13 @@ BLOCK_CATEGORIES = (RESOURCE, SEAT, DIRECT_ENVY, INDIRECT_ENVY)
 _tuple_new = tuple.__new__
 
 
-class _State:
-    """Mutable snapshot of a matching, as the scan reads it."""
-
-    __slots__ = ("assign", "ccount", "rcount", "roster")
-
-    def __init__(self, m: Market, mu: Matching):
-        self.assign: list[Optional[Contract]] = [None] * m.n_students
-        self.ccount = [0] * m.n_colleges
-        self.rcount = [0] * (m.n_resources + 1)
-        self.roster: list[list[Contract]] = [[] for _ in range(m.n_colleges)]
-        # mu iterates in sorted order, so each roster is in student order
-        for x in mu:
-            s, c, r = x
-            self.assign[s] = x
-            self.ccount[c] += 1
-            self.rcount[r] += 1
-            self.roster[c].append(x)
-
-
-def _scan(m: Market, st: _State) -> tuple[
+def _scan(m: Market, mu: Matching) -> tuple[
     list[tuple[Contract, str]],
     list[tuple[Contract, tuple[Contract, ...], bool]],
     list[Contract],
+    list[int],
 ]:
-    """Classify every candidate of the matching st holds.
+    """Classify every candidate of mu, and count each resource's holders.
 
     A candidate is a contract its student strictly prefers to her assignment,
     so the scan walks each student's list down to her current match. In
@@ -104,12 +86,22 @@ def _scan(m: Market, st: _State) -> tuple[
     victim who holds r frees a unit of it, so she is one whenever any
     ranked-below y is.
     """
+    assign: list[Optional[Contract]] = [None] * m.n_students
+    ccount = [0] * m.n_colleges
+    rcount = [0] * (m.n_resources + 1)
+    roster: list[list[Contract]] = [[] for _ in range(m.n_colleges)]
+    # mu iterates in sorted order, so each roster is in student order
+    for x in mu:
+        s, c, r = x
+        assign[s] = x
+        ccount[c] += 1
+        rcount[r] += 1
+        roster[c].append(x)
     waste: list[tuple[Contract, str]] = []
     envy: list[tuple[Contract, tuple[Contract, ...], bool]] = []
     clean: list[Contract] = []
-    ccount, rcount, roster = st.ccount, st.rcount, st.roster
     prefs, pref_pos = m.preferences, m._pref_pos
-    for s, cur in enumerate(st.assign):
+    for s, cur in enumerate(assign):
         if cur is None:
             cur_c = cur_r = -1
             stop = len(prefs[s])
@@ -143,7 +135,7 @@ def _scan(m: Market, st: _State) -> tuple[
                 envy.append((x, tuple(victims), direct))
             if not (wasteful or direct):
                 clean.append(x)
-    return waste, envy, clean
+    return waste, envy, clean, rcount
 
 
 def _dominating_witness(
@@ -200,7 +192,7 @@ def _entry(
         raise ValueError(f"contract {x} is not acceptable to its student")
     if x in mu:
         raise ValueError(f"contract {x} is already in the matching")
-    waste, envy, clean = _scan(m, _State(m, mu))
+    waste, envy, clean, _rcount = _scan(m, mu)
     kind = next((k for y, k in waste if y == x), None)
     victims, direct = next(((v, d) for y, v, d in envy if y == x), ((), False))
     return kind, victims, direct, clean
@@ -323,13 +315,12 @@ def audit(m: Market, mu: Matching) -> BlockingReport:
             or mu is infeasible or not individually rational.
     """
     _require_auditable(m, mu)
-    st = _State(m, mu)
-    waste, envy, clean = _scan(m, st)
+    waste, envy, clean, rcount = _scan(m, mu)
     n_resource = sum(kind == RESOURCE for _x, kind in waste)
     n_direct = sum(direct for _x, _victims, direct in envy)
     weakly_stable = not n_direct and all(
         x.resource != EMPTY_RESOURCE
-        and st.rcount[x.resource] == m.resource_quotas[x.resource - 1]
+        and rcount[x.resource] == m.resource_quotas[x.resource - 1]
         for x, _kind in waste
     )
 

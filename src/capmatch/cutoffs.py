@@ -12,6 +12,9 @@ Raising thresholds only ever admits more students, so eligibility is monotone
 in K. The empty-resource cutoff dominates the others at the same college
 (K[c][0] >= K[c][r]); increment() preserves that by raising the empty-resource
 entry together with a non-empty entry that has caught up with it.
+
+eligible_contracts, induced_matching, increment and is_optimal refuse, with
+a ValueError, a profile whose shape or student count is not the market's.
 """
 
 from __future__ import annotations
@@ -91,8 +94,25 @@ def maximal_profile(m: Market) -> CutoffProfile:
     )
 
 
+def _require_profile_of(m: Market, k: CutoffProfile) -> None:
+    """Refuse a profile built for another market: it must hold one row of
+    n_resources + 1 entries per college and count m's students."""
+    lengths = [len(row) for row in k.values]
+    if lengths != [m.n_resources + 1] * m.n_colleges:
+        raise ValueError(
+            f"cutoff profile has rows of lengths {lengths}, the market needs "
+            f"{m.n_colleges} rows of {m.n_resources + 1}"
+        )
+    if k.n_students != m.n_students:
+        raise ValueError(
+            f"cutoff profile is for {k.n_students} students, the market has "
+            f"{m.n_students}"
+        )
+
+
 def eligible_contracts(m: Market, k: CutoffProfile) -> set[Contract]:
     """Acceptable contracts whose student passes the pair's cutoff."""
+    _require_profile_of(m, k)
     out: set[Contract] = set()
     for s in range(m.n_students):
         for (c, r) in m.preferences[s]:
@@ -104,6 +124,7 @@ def eligible_contracts(m: Market, k: CutoffProfile) -> set[Contract]:
 
 def induced_matching(m: Market, k: CutoffProfile) -> Matching:
     """Every student takes her favorite eligible pair. May be infeasible."""
+    _require_profile_of(m, k)
     chosen = []
     for s in range(m.n_students):
         for (c, r) in m.preferences[s]:
@@ -131,8 +152,10 @@ def increment(m: Market, k: CutoffProfile, c: int, r: int) -> CutoffProfile:
     single entry.
 
     Raises:
-        ValueError: c or r is unknown, or the entry is already at n_students.
+        ValueError: k is not a profile of m (see _require_profile_of), c
+            or r is unknown, or the entry is already at n_students.
     """
+    _require_profile_of(m, k)
     _require_id("college", c, m.n_colleges)
     _require_id("resource", r, m.n_resources + 1)
     if k.values[c][r] >= m.n_students:
@@ -145,6 +168,7 @@ def increment(m: Market, k: CutoffProfile, c: int, r: int) -> CutoffProfile:
 
 def is_optimal(m: Market, k: CutoffProfile) -> bool:
     """Feasible induced matching and no feasibility-preserving increment."""
+    _require_profile_of(m, k)
     if not is_feasible(m, induced_matching(m, k)):
         return False
     for (c, r) in k.entries():

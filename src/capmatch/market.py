@@ -179,8 +179,7 @@ class Market:
 
     def acceptable(self, s: int, c: int, r: int) -> bool:
         """True iff (c, r) appears in student s's preference list."""
-        if not (0 <= s < self.n_students):  # inline: the audit's hot path
-            raise ValueError(f"unknown student id {s}")
+        _require_id("student", s, self.n_students)
         return (c, r) in self._pref_pos[s]
 
     def pref_position(self, s: int, pair: Optional[Pair]) -> int:
@@ -190,8 +189,7 @@ class Market:
         length, unlisted pairs get length + 1. Smaller is better, so this
         makes "unmatched" strictly better than any unacceptable contract.
         """
-        if not (0 <= s < self.n_students):  # inline: the audit's hot path
-            raise ValueError(f"unknown student id {s}")
+        _require_id("student", s, self.n_students)
         if pair is None:
             return len(self.preferences[s])
         pos = self._pref_pos[s].get(pair)

@@ -12,18 +12,18 @@ she is unmatched. enumerate_matchings builds a Matching from each row; a
 census keeps the rows, and its `matchings` builds each Matching only when
 it is read (_Matchings).
 
-census audits all of a market's rows at once (_audit_rows). The market's
-list entries are fixed, and a matching only decides which of them are
-candidates and the counts and holders' ranks they are tested against, so
-each of audit's tests is one array operation over the matchings-by-entries
-grid, in blocks of rows of about _BLOCK_CELLS cells. It keeps only arrays:
-per-row counts and flags, and every witness as a code. A census's
-`reports` builds the witnesses and each report only when they are read
-(_Reports), and two censuses compare their arrays. Both lazy sequences
-share one tuple-like base (_LazyTuple). A lone audit keeps
-blocking's one-matching scan, whose memory does not grow with the list
-lengths times n: the census covers small markets, the scan the
-mechanisms' outputs at any size.
+census audits all of a market's rows at once (_audit_rows); it is the
+array audit's one caller. The market's list entries are fixed, and a
+matching only decides which of them are candidates and the counts and
+holders' ranks they are tested against, so each of audit's tests is one
+array operation over the matchings-by-entries grid, in blocks of rows of
+about _BLOCK_CELLS cells. It keeps only arrays: per-row counts and flags,
+and every witness as a code. A census's `reports` builds the witnesses
+and each report only when they are read (_Reports), and two censuses
+compare their arrays. Both lazy sequences share one tuple-like base
+(_LazyTuple). A lone audit keeps blocking's one-matching scan, whose
+memory does not grow with the list lengths times n: the census covers
+small markets, the scan the mechanisms' outputs at any size.
 naive_audit decides every block from the definitions, by building each
 changed matching and asking is_feasible; both audit paths are checked
 against it.
@@ -169,8 +169,9 @@ class _LazyTuple(Sequence):
     each item when it is first read, and keeps it.
 
     It indexes (negative indices too), slices (into a tuple), iterates,
-    searches, counts, compares from either side, hashes, prints and
-    pickles as the tuple of its items. A subclass says how to build items
+    compares from either side, hashes, prints and pickles as the tuple of
+    its items; Sequence adds `in`, index, count and reversed on top of
+    indexing and iterating. A subclass says how to build items
     lo..hi-1 (_build); the first array holds one entry per item.
     Iterating builds every item not yet built in one _build call. Two
     sequences of one class with equal tables and equal arrays are equal
@@ -213,15 +214,6 @@ class _LazyTuple(Sequence):
             self._built = fresh
             self._unbuilt = 0
         return iter(self._built)
-
-    def __contains__(self, x) -> bool:
-        return x in tuple(self)
-
-    def index(self, x, *bounds) -> int:
-        return tuple(self).index(x, *bounds)
-
-    def count(self, x) -> int:
-        return tuple(self).count(x)
 
     def __eq__(self, other):
         if isinstance(other, _LazyTuple):
@@ -397,26 +389,6 @@ def _contract_table(m: Market) -> tuple[tuple, ...]:
     )
 
 
-def _counts(
-    m: Market,
-    region: np.ndarray,
-    n_m: int,
-    row: np.ndarray,
-    c: np.ndarray,
-    r: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The n_m x C college counts and n_m x (R + 1) resource counts of n_m
-    matchings whose contracts are (row, c, r), and whether each matching
-    breaks a quota or a region (region is _region_table(m))."""
-    n_c, n_r = m.n_colleges, m.n_resources + 1
-    ccount = np.bincount(row * n_c + c, minlength=n_m * n_c).reshape(n_m, n_c)
-    rcount = np.bincount(row * n_r + r, minlength=n_m * n_r).reshape(n_m, n_r)
-    infeasible = (ccount > np.array(m.college_quotas, np.int64)).any(1)
-    infeasible |= (rcount[:, 1:] > np.array(m.resource_quotas, np.int64)).any(1)
-    infeasible[row[~region[c, r]]] = True
-    return ccount, rcount, infeasible
-
-
 def _region_table(m: Market) -> np.ndarray:
     """C x (R + 1) booleans: may college c hand out resource r?"""
     n_c = m.n_colleges
@@ -425,51 +397,6 @@ def _region_table(m: Market) -> np.ndarray:
     for r, reg in enumerate(m.regions, 1):
         region[[c for c in reg if 0 <= c < n_c], r] = True
     return region
-
-
-def _audit_arrays(
-    m: Market, matchings: Sequence[Matching]
-) -> tuple[np.ndarray, list[BlockingReport]]:
-    """The position matrix of the matchings (see _position_matrix), and the
-    audit of each, in order: each matching is checked as audit checks it,
-    and the rows are audited by _audit_rows.
-
-    Raises audit's ValueError for the first matching audit would refuse.
-    """
-    n, n_c, n_r = m.n_students, m.n_colleges, m.n_resources + 1
-    n_m = len(matchings)
-    if not n_m:
-        return np.zeros((0, n), np.int64), []
-    _require_known_pairs(m)
-    lengths, _offsets, s_e, j_e, c_e, r_e = _entries(m)
-    # the entry of each (s, c, r) that some student lists, its first listing
-    entry_of = np.full(n * n_c * n_r, -1)
-    keys, first = np.unique((s_e * n_c + c_e) * n_r + r_e, return_index=True)
-    entry_of[keys] = first
-
-    # every contract of every matching, and the checks audit makes
-    sizes = np.fromiter(map(len, matchings), np.int64, n_m)
-    row = np.repeat(np.arange(n_m), sizes)
-    s, c, r = _flat_ints(chain.from_iterable(matchings), 3 * len(row)).reshape(-1, 3).T
-    unknown = (s < 0) | (s >= n) | (c < 0) | (c >= n_c) | (r < 0) | (r >= n_r)
-    if unknown.any():
-        for mu in matchings[: row[unknown.argmax()] + 1]:
-            _require_auditable(m, mu)  # raises for the first refused matching
-    infeasible = _counts(m, _region_table(m), n_m, row, c, r)[2]
-    e = entry_of[(s * n_c + c) * n_r + r]
-    irrational = np.zeros(n_m, bool)
-    irrational[row[e < 0]] = True
-    refused = infeasible | irrational
-    if refused.any():
-        i = refused.argmax()
-        raise ValueError(
-            "matching is not feasible"
-            if infeasible[i]
-            else "matching is not individually rational"
-        )
-    P = np.repeat(lengths[None, :], n_m, axis=0)
-    P[row, s] = j_e[e]
-    return P, list(_audit_rows(m, _contract_table(m), P)[0])
 
 
 def _audit_rows(
@@ -496,7 +423,9 @@ def _audit_rows(
     order, which is the scan's student-then-list order, so every report
     equals audit(m, mu).
 
-    Raises audit's ValueError if some row breaks a quota or a region.
+    Raises audit's ValueError if some row breaks a quota or a region. The
+    walk's rows never do; the check keeps a bad row from being audited as
+    a matching.
     """
     n, n_c, n_r = m.n_students, m.n_colleges, m.n_resources + 1
     n_m = len(P)
@@ -543,10 +472,10 @@ def _audit_rows(
     pair = np.append(pair_e, n_pairs)[ent]
     held = rank[col, np.arange(n)]
     row = np.nonzero(matched)[0]
-    ccount, rcount, infeasible = _counts(
-        m, region, n_m, row, col[matched], res[matched]
-    )
-    if infeasible.any():
+    c_m, r_m = col[matched], res[matched]
+    ccount = np.bincount(row * n_c + c_m, minlength=n_m * n_c).reshape(n_m, n_c)
+    rcount = np.bincount(row * n_r + r_m, minlength=n_m * n_r).reshape(n_m, n_r)
+    if (ccount > cq).any() or (rcount > rq).any() or not region[c_m, r_m].all():
         raise ValueError("matching is not feasible")
 
     per_row: list[list[np.ndarray]] = [[] for _ in range(6)]
@@ -847,7 +776,8 @@ def strategyproofness_probe(
     misreport, the order (rsd only), and the before/after assignments.
 
     Raises:
-        ValueError: student is not one of the market's ids.
+        ValueError: student is not one of the market's ids, or mechanism
+            names no mechanism.
         OracleBoundError: misreports x orders would exceed `bound` runs.
     """
     if not (0 <= student < m.n_students):
@@ -857,6 +787,8 @@ def strategyproofness_probe(
 
     from .mechanisms import MECHANISMS, run_rsd
 
+    if isinstance(mechanism, str) and mechanism not in MECHANISMS:
+        raise ValueError(f"unknown mechanism {mechanism!r}")
     rsd = mechanism == "rsd"
     # count the serial orders before building any: n! outgrows memory fast
     n_orders = factorial(m.n_students) if rsd else 1

@@ -21,7 +21,6 @@ from capmatch import (
     waste_block_class,
 )
 from capmatch.blocking import BLOCK_CATEGORIES, RESOURCE, SEAT
-from capmatch.oracle import _audit_arrays
 
 
 def test_seat_block_moves_to_a_new_college():
@@ -236,43 +235,6 @@ def test_preconditions_raise():
     assert waste_block_class(m, mu, x) is None
     with _raises(f"contract {x} does not waste-block this matching"):
         is_dominated(m, mu, x)
-
-
-def test_a_batch_audit_refuses_what_audit_refuses():
-    """The census's array audit checks every matching as audit does, and an
-    empty batch has no reports."""
-    m = load_fixture("example1")
-    fine = Matching([Contract(1, 0, 1)])
-    assert _audit_arrays(m, [])[1] == []
-    assert _audit_arrays(m, [fine, Matching()])[1] == [
-        audit(m, fine),
-        audit(m, Matching()),
-    ]
-    for bad, message in [
-        (Matching([Contract(0, 0, 1), Contract(1, 1, 1)]), "matching is not feasible"),
-        (Matching([Contract(0, 0, 0)]), "matching is not individually rational"),
-    ]:
-        with _raises(message):
-            audit(m, bad)
-        for batch in ([bad], [fine, bad], [bad, fine]):
-            with _raises(message):
-                _audit_arrays(m, batch)
-
-
-def test_the_array_audit_names_an_unknown_id_as_audit_does():
-    """The census's array audit refuses the first matching audit refuses,
-    with audit's message, also when a later matching names an unknown id."""
-    m = load_fixture("example1")
-    fine = Matching([Contract(1, 0, 1)])
-    infeasible = Matching([Contract(0, 0, 1), Contract(1, 1, 1)])
-    for batch, message in [
-        ([fine, Matching([Contract(5, 0, 0)])], "unknown student id 5"),
-        ([Matching([Contract(0, -1, 0)])], "unknown college id -1"),
-        ([fine, Matching([Contract(0, 0, 2)])], "unknown resource id 2"),
-        ([infeasible, Matching([Contract(5, 0, 0)])], "matching is not feasible"),
-    ]:
-        with _raises(message):
-            _audit_arrays(m, batch)
 
 
 def _raises(message):

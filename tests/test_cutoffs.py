@@ -1,5 +1,7 @@
 """Cutoff profiles: dominance invariant, increments, induced demand."""
 
+import re
+
 import pytest
 
 from capmatch import (
@@ -51,6 +53,44 @@ def test_profile_accessors_refuse_out_of_range_ids():
         with pytest.raises(ValueError, match=f"^{message}$"):
             call()
     assert k[2] == (1, 0) and k.is_maximal(0, 0) and not k.is_maximal(0, 1)
+
+
+def test_cutoff_functions_refuse_a_profile_of_another_market():
+    m = load_fixture("prop2")  # 3 students, 3 colleges, one resource
+    calls = (
+        eligible_contracts,
+        induced_matching,
+        is_optimal,
+        lambda m, k: increment(m, k, 0, 1),
+    )
+    for k, message in [
+        (
+            CutoffProfile([[1, 1]] * 2, 3),
+            "cutoff profile has rows of lengths [2, 2], the market needs 3 rows of 2",
+        ),
+        (
+            CutoffProfile([[1, 1, 1]] * 3, 3),
+            "cutoff profile has rows of lengths [3, 3, 3], the market needs 3 rows of 2",
+        ),
+        (
+            CutoffProfile([[1, 1], [1, 1], [1]], 3),
+            "cutoff profile has rows of lengths [2, 2, 1], the market needs 3 rows of 2",
+        ),
+        (
+            CutoffProfile([[9, 0]] * 3, 9),
+            "cutoff profile is for 9 students, the market has 3",
+        ),
+    ]:
+        for call in calls:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                call(m, k)
+    # m's own profiles pass the check
+    assert not eligible_contracts(m, zero_profile(m))
+    assert induced_matching(m, zero_profile(m)) == Matching()
+    assert not is_optimal(m, maximal_profile(m))
+    assert increment(m, zero_profile(m), 0, 1) == CutoffProfile(
+        [[1, 1], [0, 0], [0, 0]], 3
+    )
 
 
 def test_zero_and_maximal_profiles():

@@ -973,20 +973,26 @@ def test_audit_matches_the_reference_on_every_census_matching():
 
 def test_a_census_audits_each_matching_as_a_lone_audit_does():
     """A census audits all of a market's matchings at once; no report may
-    depend on the others. Batches in reversed and shuffled order put each
-    matching among other neighbours. The position matrix the array audit
-    hands to the Pareto step must equal _position_matrix's."""
+    depend on the others. The walk's rows, fed to the array audit in
+    reversed and shuffled order, put each matching among other
+    neighbours, and each report and flag must still be its lone audit's.
+    The rows the census hands to the array audit and the Pareto step must
+    equal _position_matrix's."""
     rng = np.random.default_rng(20)
+    names = ("stable", "envy_free", "non_wasteful", "weakly_stable", "direct_envy_stable")
     for m in census_markets():
         result = census(m)
         alone = [audit(m, mu) for mu in result.matchings]
         assert result.reports == tuple(alone)
+        P = result.matchings._arrays[0]
+        assert np.array_equal(P, oracle._position_matrix(m, result.matchings))
+        table = oracle._contract_table(m)
         n = len(alone)
-        for order in (range(n - 1, -1, -1), rng.permutation(n).tolist()):
-            batch = [result.matchings[i] for i in order]
-            P, reports = oracle._audit_arrays(m, batch)
-            assert reports == [alone[i] for i in order]
-            assert np.array_equal(P, oracle._position_matrix(m, batch))
+        for order in (np.arange(n)[::-1], rng.permutation(n)):
+            reports, flags = oracle._audit_rows(m, table, P[order])
+            assert list(reports) == [alone[i] for i in order]
+            for name, flag in zip(names, flags):
+                assert flag.tolist() == [getattr(alone[i], name) for i in order]
 
 
 def test_naive_audit_agrees_with_audit_and_the_census_on_every_census_matching():

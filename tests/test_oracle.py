@@ -257,6 +257,14 @@ def test_probe_refuses_an_unknown_student(student):
         strategyproofness_probe(m, "irc", student=student, seed=0)
 
 
+def test_probe_refuses_an_unknown_mechanism_name():
+    # before the bound check: a bound of 0 refuses every probe
+    m = load_fixture("prop2")
+    for bound in (200_000, 0):
+        with pytest.raises(ValueError, match="^unknown mechanism 'nope'$"):
+            strategyproofness_probe(m, "nope", 0, bound=bound)
+
+
 def test_probe_bound_guard():
     m = load_fixture("prop2")
     with pytest.raises(OracleBoundError):
@@ -411,10 +419,32 @@ def test_the_walk_lists_each_matching_in_student_order():
     assert seen > 100
 
 
+def _index(seq, x, *bounds):
+    """seq.index(x, *bounds), or None where it raises ValueError."""
+    try:
+        return seq.index(x, *bounds)
+    except ValueError:
+        return None
+
+
+def _assert_searches_as_the_tuple(lazy, expected):
+    """reversed, and `in`, count and index with negative starts and with
+    stops, give on the lazy sequence what they give on its tuple."""
+    n = len(expected)
+    assert list(reversed(lazy)) == list(reversed(expected))
+    mid = expected[n // 2]
+    assert (mid in lazy) is (mid in expected) is True
+    assert lazy.count(mid) == expected.count(mid)
+    for x in (expected[0], mid, expected[-1]):
+        for bounds in ((), (-1,), (-2,), (-n - 3,), (0, n // 2), (1, n // 2 + 1), (-3, -1)):
+            assert _index(lazy, x, *bounds) == _index(expected, x, *bounds), bounds
+
+
 def test_census_matchings_behave_as_the_tuple_of_the_enumeration():
     """A census builds its matchings when they are read. The sequence must
     equal the enumeration's tuple from either side, with the same hash, and
-    index, slice, search, count, print and pickle as that tuple does."""
+    index, slice, reverse, search, count, print and pickle as that tuple
+    does."""
     for name in fixture_names():
         m = load_fixture(name)
         expected = tuple(enumerate_matchings(m))
@@ -436,6 +466,7 @@ def test_census_matchings_behave_as_the_tuple_of_the_enumeration():
         assert lazy.count(last) == 1
         with pytest.raises(ValueError):
             lazy.index(last, 0, len(expected) - 1)
+        _assert_searches_as_the_tuple(lazy, expected)
         with pytest.raises(IndexError, match="^tuple index out of range$"):
             lazy[len(expected)]
         assert pickle.loads(pickle.dumps(lazy)) == expected
@@ -449,7 +480,8 @@ def test_census_matchings_behave_as_the_tuple_of_the_enumeration():
 def test_census_reports_behave_as_the_tuple_of_lone_audits():
     """A census builds its reports when they are read. The sequence must
     equal the tuple of one lone audit per matching from either side, and
-    index, slice, search, count, print and pickle as that tuple does."""
+    index, slice, reverse, search, count, print and pickle as that tuple
+    does."""
     for name in fixture_names():
         m = load_fixture(name)
         cen = census(m)
@@ -475,6 +507,7 @@ def test_census_reports_behave_as_the_tuple_of_lone_audits():
         assert absent not in lazy and lazy.count(absent) == 0
         with pytest.raises(ValueError):
             lazy.index(absent)
+        _assert_searches_as_the_tuple(lazy, expected)
         with pytest.raises(IndexError, match="^tuple index out of range$"):
             lazy[len(expected)]
         assert pickle.loads(pickle.dumps(lazy)) == expected
