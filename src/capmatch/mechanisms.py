@@ -13,15 +13,29 @@ induced matching stays feasible. They differ in which entries they try:
 Raising an entry from value v only ever admits the single student ranked
 v + 1 at that college, so the induced matching is maintained incrementally:
 re-seat that student onto her favorite newly opened pair when she likes it
-better, delta-check feasibility, revert the raise if the move breaks it.
+better, delta-check feasibility (`market.fits`), revert the raise if the
+move breaks it.
 
-irc keeps its drawable entries as a sorted index list, so a draw costs one
-index and a bisect instead of a scan of every entry.
+The engine keeps that matching in flat tables of ints, built once per run.
+An entry (c, r) is the index c * (R + 1) + r. Each student has a position
+row, her list position of every entry (the first occurrence winning, and
+one past the end of her list for an entry she does not list), and holds
+two ints: the position she holds (her list length when she is unmatched)
+and the entry she holds. A raise reads list items and compares ints; no
+dict is consulted and no Contract is built until the run ends.
+
+imc, idc and iuc raise through one body, _Engine.try_raise, to which the
+caller hands the admitted student and her position row; imc works them
+out once per value level, for every subset it tries there. irc, the
+hottest loop, inlines the same body for its one or two entries and keeps
+its drawable entries as a sorted index list, so a draw costs one index
+instead of a scan of every entry. Both re-seat through _Engine.reseat.
 
 imc, idc and iuc share one pass loop: a random order over their colleges or
 entries, visited in full, repeated until a pass changes nothing. imc builds
 each level's candidate subsets where it visits them, and a size that offers
-one candidate subset draws nothing.
+one candidate subset (all of the level's free entries, or none of them)
+neither draws nor builds a combinations list.
 
 rsd lets students pick their favorite still-feasible contract in a random
 order. csd repeatedly grants, among all unmatched students' current favorite
@@ -44,7 +58,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -103,72 +117,91 @@ def _require_runnable(m: Market) -> None:
 
 
 class _Engine:
-    """Incrementally maintained induced matching of a growing cutoff profile.
+    """The induced matching of a growing cutoff profile, kept as flat ints.
 
-    Invariant: assign always equals the induced matching of K, and the
-    matching is feasible. try_raise keeps them in sync.
+    pos[s] is student s's position row: pos[s][c * width + r] is her list
+    position of (c, r), the first occurrence winning, or len(her list) + 1
+    when she does not list it (width = n_resources + 1). held[s] is the
+    position she holds, len(her list) when she is unmatched, and entry[s]
+    the index c * width + r of the pair she holds, -1 when she is unmatched.
+
+    Invariant: held and entry always describe the induced matching of K, and
+    that matching is feasible. try_raise keeps them in sync; finish builds
+    the Contracts.
     """
 
-    __slots__ = ("m", "K", "assign", "ccount", "rcount", "moves")
+    __slots__ = ("m", "width", "K", "pos", "held", "entry", "ccount", "rcount", "moves")
 
     def __init__(self, m: Market):
+        width = m.n_resources + 1
+        size = m.n_colleges * width
         self.m = m
-        self.K = [[0] * (m.n_resources + 1) for _ in range(m.n_colleges)]
-        self.assign: list[Optional[Contract]] = [None] * m.n_students
+        self.width = width
+        self.K = [[0] * width for _ in range(m.n_colleges)]
+        self.pos: list[list[int]] = []
+        for plist, pos_map in zip(m.preferences, m._pref_pos):
+            row = [len(plist) + 1] * size
+            for (c, r), p in pos_map.items():
+                row[c * width + r] = p
+            self.pos.append(row)
+        self.held = list(map(len, m.preferences))
+        self.entry = [-1] * m.n_students
         self.ccount = [0] * m.n_colleges
-        self.rcount = [0] * (m.n_resources + 1)
+        self.rcount = [0] * width
         self.moves: list[tuple[int, tuple[int, ...]]] = []
 
-    def try_raise(self, c: int, rs: tuple[int, ...]) -> bool:
+    def try_raise(self, c: int, rs: tuple[int, ...], s: int, prow: list[int]) -> bool:
         """+1 on college c's entries rs, all of which sit at one common value
-        v < n_students. Kept iff the induced matching stays feasible."""
-        m = self.m
-        row = self.K[c]
-        v = row[rs[0]]
-        s_star = m.priorities[c][v]  # the only newly eligible student
-        pos_map = m._pref_pos[s_star]
-
-        best_pos = None
+        v < n_students. s is priorities[c][v], the only student the raise
+        makes eligible, and prow her position row. Kept iff the induced
+        matching stays feasible."""
+        base = c * self.width
+        best = self.held[s]
         best_r = -1
         for r in rs:
-            p = pos_map.get((c, r))
-            if p is not None and (best_pos is None or p < best_pos):
-                best_pos = p
+            if prow[base + r] < best:
+                best = prow[base + r]
                 best_r = r
-
-        cur = self.assign[s_star]
-        if cur is None:
-            cur_pos = len(m.preferences[s_star])
-        else:
-            cur_pos = pos_map[(cur.college, cur.resource)]
-
-        if best_pos is not None and best_pos < cur_pos:
-            # s_star switches to (c, best_r); check the move keeps feasibility
-            at_c = cur is not None and cur.college == c
-            had = cur is not None and cur.resource == best_r
-            if not fits(m, self.ccount, self.rcount, c, best_r, at_c, had):
-                return False
-            if cur is not None:
-                self.ccount[cur.college] -= 1
-                self.rcount[cur.resource] -= 1
-            self.assign[s_star] = Contract(s_star, c, best_r)
-            self.ccount[c] += 1
-            self.rcount[best_r] += 1
-
+        if best_r >= 0 and not self.reseat(s, c, best_r, best):
+            return False
+        row = self.K[c]
         for r in rs:
             row[r] += 1
-        self.moves.append((c, tuple(rs)))
+        self.moves.append((c, rs))
+        return True
+
+    def reseat(self, s: int, c: int, r: int, p: int) -> bool:
+        """Move s onto (c, r), at position p of her list and better than the
+        pair she holds, iff the matching stays feasible."""
+        ccount, rcount, width = self.ccount, self.rcount, self.width
+        e = self.entry[s]
+        c_was, r_was = divmod(e, width) if e >= 0 else (-1, -1)
+        if not fits(self.m, ccount, rcount, c, r, c_was == c, r_was == r):
+            return False
+        if e >= 0:
+            ccount[c_was] -= 1
+            rcount[r_was] -= 1
+        self.held[s] = p
+        self.entry[s] = c * width + r
+        ccount[c] += 1
+        rcount[r] += 1
         return True
 
     def finish(self, mechanism: str, seed) -> RunTrace:
-        matching = Matching(x for x in self.assign if x is not None)
-        profile = CutoffProfile(self.K, self.m.n_students)
+        width = self.width
+        matching = Matching._of_sorted(
+            tuple(
+                Contract(s, *divmod(e, width))
+                for s, e in enumerate(self.entry)
+                if e >= 0
+            )
+        )
         return RunTrace(
             mechanism=mechanism,
             seed=seed,
             moves=tuple(self.moves),
             matching=matching,
-            profile=profile,
+            profile=CutoffProfile(self.K, self.m.n_students),
         )
 
 
@@ -183,65 +216,58 @@ def run_irc(m: Market, seed: Optional[int] = None) -> RunTrace:
 
     The drawable entries are kept as `active`, a sorted list of indices into
     the college-major entry order, so a draw costs one index and not a scan
-    of all C * (R + 1) entries. A failed entry leaves `active` and waits in
-    `failed`; an accepted raise puts the failures back and drops the entries
-    it pushed to n. Each update is a bisect on a list of at most C * (R + 1)
-    indices.
+    of all C * (R + 1) entries. A failed entry leaves `active` at the drawn
+    index and waits in `failed`; an accepted raise sorts the failures back
+    in and bisects out the entries it pushed to n.
+
+    The raise is _Engine.try_raise written out for the drawn entry i and
+    the empty-resource entry that may join it, so the loop makes no call
+    but the draw and, for a student who likes the new pair better, the
+    re-seat.
     """
     _require_runnable(m)
     draws = Draws(seed)
     eng = _Engine(m)
     n = m.n_students
-    width = m.n_resources + 1
+    width = eng.width
+    K, pos, held, reseat = eng.K, eng.pos, eng.held, eng.reseat
+    priorities, integers, moves = m.priorities, draws.integers, eng.moves
     active = list(range(m.n_colleges * width)) if n else []
     failed: list[int] = []
     while active:
-        i = active[draws.integers(len(active))]
+        j = integers(len(active))
+        i = active[j]
         c, r = divmod(i, width)
-        rs = coupled_entries(eng.K[c], r)
-        if eng.try_raise(c, rs):
-            for j in failed:
-                insort(active, j)
-            failed.clear()
-            row = eng.K[c]
-            for x in rs:
-                if row[x] == n:
-                    del active[bisect_left(active, c * width + x)]
+        row = K[c]
+        v = row[r]
+        s = priorities[c][v]
+        # entry i is (c, r); the empty-resource entry i - r rides along
+        # when r has caught up with it
+        prow = pos[s]
+        best = prow[i]
+        best_r = r
+        if r and v == row[EMPTY_RESOURCE]:
+            rs = (r, EMPTY_RESOURCE)
+            if prow[i - r] < best:
+                best = prow[i - r]
+                best_r = EMPTY_RESOURCE
         else:
-            del active[bisect_left(active, i)]
+            rs = (r,)
+        if best < held[s] and not reseat(s, c, best_r, best):
+            del active[j]
             failed.append(i)
+            continue
+        for x in rs:
+            row[x] += 1
+        moves.append((c, rs))
+        if failed:
+            active += failed
+            active.sort()
+            failed.clear()
+        if v + 1 == n:  # the raised entries can rise no further
+            for x in rs:
+                del active[bisect_left(active, i - r + x)]
     return eng.finish("irc", seed)
-
-
-def _imc_college_step(eng: _Engine, c: int, draws: Draws) -> bool:
-    """One IMC visit to college c: scan cutoff values bottom up and apply the
-    first feasible simultaneous raise of a largest-possible entry subset.
-
-    At each value level, subsets are searched in decreasing size and in
-    random order within a size; a size with one candidate subset draws
-    nothing, as a one-item shuffle reads no word. Whenever the empty-resource
-    entry sits at the level, every candidate subset must contain it (a
-    non-empty entry may never climb above the empty-resource entry).
-    Scanning upward past a stuck bottom level keeps the college moving when
-    only its higher-valued entries can still advance; termination then
-    certifies that no single coupled increment is feasible anywhere, i.e.
-    the profile is optimal.
-    """
-    row = eng.K[c]
-    n = eng.m.n_students
-    for v in sorted(set(row)):
-        if v == n:
-            break
-        # EMPTY_RESOURCE is entry 0; a subset must be non-empty, so the free
-        # part may be empty only when the empty-resource entry is fixed in it
-        fixed = (EMPTY_RESOURCE,) if row[EMPTY_RESOURCE] == v else ()
-        free = [r for r in range(1, len(row)) if row[r] == v]
-        for k in range(len(free), -len(fixed), -1):
-            combos = list(itertools.combinations(free, k))
-            for i in draws.permutation(len(combos)) if len(combos) > 1 else (0,):
-                if eng.try_raise(c, fixed + combos[i]):
-                    return True
-    return False
 
 
 def _passes(draws: Draws, k: int, step: Callable[[int], bool]) -> None:
@@ -252,11 +278,51 @@ def _passes(draws: Draws, k: int, step: Callable[[int], bool]) -> None:
 
 
 def run_imc(m: Market, seed: Optional[int] = None) -> RunTrace:
-    """Per-college simultaneous raises, colleges visited in random passes."""
+    """Per-college simultaneous raises, colleges visited in random passes.
+
+    A visit to college c scans its cutoff values bottom up and applies the
+    first feasible simultaneous raise of a largest-possible entry subset.
+    At each value level, subsets are searched in decreasing size and in
+    random order within a size; a size with one candidate subset (all of
+    the level's free entries, or none of them) draws nothing, as a one-item
+    shuffle reads no word. Whenever the empty-resource entry sits at the
+    level, every candidate subset must contain it (a non-empty entry may
+    never climb above the empty-resource entry). Scanning upward past a
+    stuck bottom level keeps the college moving when only its higher-valued
+    entries can still advance; termination then certifies that no single
+    coupled increment is feasible anywhere, i.e. the profile is optimal.
+    """
     _require_runnable(m)
     draws = Draws(seed)
     eng = _Engine(m)
-    _passes(draws, m.n_colleges, lambda c: _imc_college_step(eng, c, draws))
+    n = m.n_students
+    K, pos, priorities, try_raise = eng.K, eng.pos, m.priorities, eng.try_raise
+    resources = range(1, eng.width)
+
+    def visit(c: int) -> bool:
+        row = K[c]
+        for v in sorted(set(row)):
+            if v == n:
+                break
+            s = priorities[c][v]  # every raise at this level admits her
+            prow = pos[s]
+            # EMPTY_RESOURCE is entry 0; a subset must be non-empty, so the
+            # free part may be empty only when the empty-resource entry is
+            # fixed in it
+            fixed = (EMPTY_RESOURCE,) if row[EMPTY_RESOURCE] == v else ()
+            free = tuple([r for r in resources if row[r] == v])
+            if try_raise(c, fixed + free, s, prow):
+                return True
+            for k in range(len(free) - 1, 0, -1):
+                combos = list(itertools.combinations(free, k))
+                for i in draws.permutation(len(combos)):
+                    if try_raise(c, fixed + combos[i], s, prow):
+                        return True
+            if fixed and free and try_raise(c, fixed, s, prow):
+                return True
+        return False
+
+    _passes(draws, m.n_colleges, visit)
     return eng.finish("imc", seed)
 
 
@@ -265,13 +331,18 @@ def run_idc(m: Market, seed: Optional[int] = None) -> RunTrace:
     _require_runnable(m)
     eng = _Engine(m)
     n = m.n_students
-    width = m.n_resources + 1
+    width = eng.width
+    K, pos, priorities, try_raise = eng.K, eng.pos, m.priorities, eng.try_raise
 
     def push(i: int) -> bool:
         c, r = divmod(i, width)
-        row = eng.K[c]
+        row = K[c]
+        ranked = priorities[c]
         changed = False
-        while row[r] < n and eng.try_raise(c, coupled_entries(row, r)):
+        while row[r] < n:
+            s = ranked[row[r]]
+            if not try_raise(c, coupled_entries(row, r), s, pos[s]):
+                break
             changed = True
         return changed
 
@@ -289,12 +360,16 @@ def run_iuc(m: Market, seed: Optional[int] = None) -> RunTrace:
     _require_runnable(m)
     eng = _Engine(m)
     n = m.n_students
-    all_rs = tuple(range(m.n_resources + 1))
-    _passes(
-        Draws(seed),
-        m.n_colleges,
-        lambda c: eng.K[c][EMPTY_RESOURCE] < n and eng.try_raise(c, all_rs),
-    )
+    all_rs = tuple(range(eng.width))
+
+    def step(c: int) -> bool:
+        v = eng.K[c][EMPTY_RESOURCE]
+        if v == n:
+            return False
+        s = m.priorities[c][v]
+        return eng.try_raise(c, all_rs, s, eng.pos[s])
+
+    _passes(Draws(seed), m.n_colleges, step)
     return eng.finish("iuc", seed)
 
 

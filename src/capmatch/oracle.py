@@ -170,10 +170,11 @@ class _LazyTuple(Sequence):
 
     It indexes (negative indices too), slices (into a tuple), iterates,
     compares from either side, hashes, prints and pickles as the tuple of
-    its items; Sequence adds `in`, index, count and reversed on top of
-    indexing and iterating. A subclass says how to build items
-    lo..hi-1 (_build); the first array holds one entry per item.
-    Iterating builds every item not yet built in one _build call. Two
+    its items; Sequence adds `in` and reversed on top of indexing and
+    iterating. A subclass says how to build items lo..hi-1 (_build); the
+    first array holds one entry per item. Iterating, index and count
+    build every item not yet built in one _build call, and index and count
+    answer as the tuple does, its ValueError message included. Two
     sequences of one class with equal tables and equal arrays are equal
     without building any item; any other pair compares the items.
     """
@@ -206,14 +207,24 @@ class _LazyTuple(Sequence):
             self._unbuilt -= 1
         return x
 
-    def __iter__(self):
+    def _items(self) -> list:
+        """Every item, building those not yet built in one _build call."""
         if self._unbuilt:
             fresh = self._build(0, len(self))
             if self._unbuilt < len(fresh):  # keep the items already read
                 fresh = [f if x is None else x for x, f in zip(self._built, fresh)]
             self._built = fresh
             self._unbuilt = 0
-        return iter(self._built)
+        return self._built
+
+    def __iter__(self):
+        return iter(self._items())
+
+    def index(self, x, *bounds) -> int:
+        return tuple(self._items()).index(x, *bounds)
+
+    def count(self, x) -> int:
+        return self._items().count(x)
 
     def __eq__(self, other):
         if isinstance(other, _LazyTuple):

@@ -767,6 +767,135 @@ def test_traces_match_the_rescanning_reference(mechanism, reference):
     assert checked >= 400
 
 
+def hand_built_markets():
+    """Markets the generator never makes, by the case each one holds. The
+    cutoff engine reads a student's list through a position table, so each
+    case must give the positions the rescanning reference reads."""
+    two = dict(college_quotas=[1, 2], resource_quotas=[1], regions=[[0, 1]])
+    ranks = [[0, 1, 2, 3], [3, 2, 1, 0]]
+    yield "repeated pair", Market(
+        n_students=4,
+        priorities=ranks,
+        preferences=[
+            [(0, 1), (1, 0), (0, 1), (0, 0)],  # (0, 1) is her favorite
+            [(1, 1), (0, 1), (1, 1), (0, 0)],
+            [(0, 1), (0, 1), (1, 0)],
+            [(1, 0), (1, 1), (1, 0), (0, 1), (0, 0)],
+        ],
+        **two,
+    )
+    yield "pair outside its resource's region", Market(
+        n_students=4,
+        college_quotas=[2, 1],
+        resource_quotas=[1, 1],
+        regions=[[0], [1]],
+        priorities=ranks,
+        preferences=[
+            [(1, 1), (0, 1), (0, 0)],  # college 1 may not hand out resource 1
+            [(0, 2), (1, 2), (1, 0)],
+            [(1, 1), (1, 2), (0, 0)],
+            [(0, 2), (0, 1), (1, 0)],
+        ],
+    )
+    yield "lists without the plain-seat fallback", Market(
+        n_students=4,
+        priorities=ranks,
+        preferences=[
+            [(0, 1), (1, 1)],
+            [(1, 1), (0, 1)],
+            [(0, 1), (1, 0)],
+            [(1, 1), (0, 0)],
+        ],
+        **two,
+    )
+    yield "an empty list", Market(
+        n_students=4,
+        priorities=ranks,
+        preferences=[[], [(0, 1), (0, 0)], [], [(0, 1), (1, 1), (1, 0)]],
+        **two,
+    )
+    yield "no resources", Market(
+        n_students=4,
+        college_quotas=[1, 2],
+        resource_quotas=[],
+        regions=[],
+        priorities=[[2, 0, 3, 1], [1, 3, 0, 2]],
+        preferences=[[(0, 0), (1, 0)], [(0, 0)], [(1, 0), (0, 0)], [(0, 0), (1, 0)]],
+    )
+    yield "one student", Market(
+        n_students=1,
+        college_quotas=[1, 1],
+        resource_quotas=[1, 1],
+        regions=[[1], [0, 1]],
+        priorities=[[0], [0]],
+        preferences=[[(1, 1), (0, 2), (1, 2), (1, 0), (0, 0)]],
+    )
+
+
+def hand_edited_markets(count=40):
+    """Small generated markets whose lists are edited as the generator
+    never edits them: a pair repeated further down, the plain-seat
+    fallbacks dropped, a pair outside its resource's region put first, or
+    the list emptied."""
+    rng = np.random.default_rng(25)
+    while count:
+        cfg = GenConfig(
+            n_students=int(rng.integers(1, 9)),
+            n_colleges=int(rng.integers(1, 4)),
+            n_resources=int(rng.integers(0, 3)),
+            region_scheme="partition",
+        )
+        try:
+            m = generate_market(cfg, seed=int(rng.integers(1 << 48)))
+        except ValueError:
+            continue  # a partition needs a college per resource
+        prefs = []
+        for plist in m.preferences:
+            plist = list(plist)
+            edit = int(rng.integers(5))
+            if edit == 0 and plist:
+                plist.insert(int(rng.integers(len(plist) + 1)), plist[0])
+            elif edit == 1:
+                plist = [p for p in plist if p[1] != EMPTY_RESOURCE] or plist
+            elif edit == 2 and m.n_resources:
+                r = int(rng.integers(1, m.n_resources + 1))
+                outside = sorted(set(range(m.n_colleges)) - m.regions[r - 1])
+                if outside:
+                    plist.insert(0, (outside[int(rng.integers(len(outside)))], r))
+            elif edit == 3:
+                plist = []
+            prefs.append(plist)
+        yield Market(
+            m.n_students,
+            m.college_quotas,
+            m.resource_quotas,
+            m.regions,
+            m.priorities,
+            prefs,
+        )
+        count -= 1
+
+
+@pytest.mark.parametrize(
+    "mechanism, reference",
+    [
+        (run_irc, reference_irc),
+        (run_imc, reference_imc),
+        (run_idc, reference_idc),
+        (run_iuc, reference_iuc),
+    ],
+)
+def test_cutoff_traces_match_the_reference_on_hand_built_markets(
+    mechanism, reference
+):
+    for name, m in hand_built_markets():
+        for seed in range(12):
+            assert mechanism(m, seed=seed) == reference(m, seed=seed), (name, seed)
+    for i, m in enumerate(hand_edited_markets()):
+        for seed in (i, 1000 + i, 2000 + i):
+            assert mechanism(m, seed=seed) == reference(m, seed=seed), (i, seed)
+
+
 # -- reference copies of the original domination-witness search --------------
 
 

@@ -195,6 +195,16 @@ def test_deferred_acceptance_rejects_resource_markets():
         college_proposing_da(load_fixture("example1"))
 
 
+def _raise(eng, c, rs):
+    """One engine raise of college c's entries rs, which sit at one value."""
+    s = eng.m.priorities[c][eng.K[c][rs[0]]]
+    return eng.try_raise(c, rs, s, eng.pos[s])
+
+
+def _held(eng):
+    return eng.finish("irc", None).matching
+
+
 def test_a_raise_that_moves_a_unit_between_colleges_frees_it():
     # one unit, usable at both colleges; student 0 holds it at college 0 and
     # then becomes eligible for her favorite, college 1 with the unit
@@ -207,11 +217,36 @@ def test_a_raise_that_moves_a_unit_between_colleges_frees_it():
         preferences=[[(1, 1), (0, 1)]],
     )
     eng = _Engine(m)
-    assert eng.try_raise(0, (1, 0))
-    assert eng.assign[0] == Contract(0, 0, 1)
-    assert eng.try_raise(1, (1, 0))
-    assert eng.assign[0] == Contract(0, 1, 1)
+    assert _raise(eng, 0, (1, 0))
+    assert _held(eng) == Matching([Contract(0, 0, 1)])
+    assert eng.ccount == [1, 0] and eng.rcount == [0, 1]
+    assert _raise(eng, 1, (1, 0))
+    assert _held(eng) == Matching([Contract(0, 1, 1)])
+    assert eng.held == [0] and eng.entry == [1 * 2 + 1]
     assert eng.ccount == [0, 1] and eng.rcount == [0, 1]
+
+
+def test_a_failed_raise_changes_nothing():
+    # student 1 takes the one unit at college 1; student 0 sits at college
+    # 0 without it, and the unit at college 0, her favorite, cannot follow
+    m = Market(
+        n_students=2,
+        college_quotas=[1, 1],
+        resource_quotas=[1],
+        regions=[[0, 1]],
+        priorities=[[0, 1], [1, 0]],
+        preferences=[[(0, 1), (0, 0)], [(1, 1)]],
+    )
+    eng = _Engine(m)
+    assert _raise(eng, 1, (1, 0)) and _raise(eng, 0, (0,))
+    held = _held(eng)
+    assert held == Matching([Contract(0, 0, 0), Contract(1, 1, 1)])
+    before = ([row[:] for row in eng.K], eng.ccount[:], eng.rcount[:],
+              eng.held[:], eng.entry[:], eng.moves[:])
+    assert not _raise(eng, 0, (1,))
+    after = (eng.K, eng.ccount, eng.rcount, eng.held, eng.entry, eng.moves)
+    assert after == before
+    assert _held(eng) == held
 
 
 def test_rsd_serial_order_is_greedy():

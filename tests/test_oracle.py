@@ -531,6 +531,38 @@ def test_census_reports_read_one_first_then_all():
         assert lazy[i] is first and list(lazy)[i] is first
 
 
+@pytest.mark.parametrize("which", ["reports", "matchings"])
+def test_census_search_builds_once_and_fails_as_the_tuple(which, monkeypatch):
+    """index and count on a fresh census build every item in one _build
+    call, and an absent item raises the tuple's ValueError message."""
+    m = load_fixture("prop4")
+    expected = tuple(getattr(census(m), which))
+    builds = []
+    lazy_type = type(getattr(census(m), which))
+    real_build = lazy_type._build
+
+    def counting_build(self, lo, hi):
+        builds.append((lo, hi))
+        return real_build(self, lo, hi)
+
+    monkeypatch.setattr(lazy_type, "_build", counting_build)
+    message = r"^tuple\.index\(x\): x not in tuple$"
+    with pytest.raises(ValueError, match=message):
+        expected.index(object())
+    lazy = getattr(census(m), which)
+    with pytest.raises(ValueError, match=message):
+        lazy.index(object())
+    assert builds == [(0, len(expected))]
+    assert lazy.index(expected[-1]) == len(expected) - 1
+    with pytest.raises(ValueError, match=message):
+        lazy.index(expected[-1], 0, -1)
+    assert builds == [(0, len(expected))]
+    fresh = getattr(census(m), which)
+    assert fresh.count(expected[1]) == expected.count(expected[1]) == 1
+    assert fresh.count(object()) == 0
+    assert builds == [(0, len(expected))] * 2
+
+
 def test_two_censuses_compare_equal_without_building_a_report():
     """Equal contract tables and equal audit arrays make two census report
     sequences equal; the comparison builds no report. Sequences of
