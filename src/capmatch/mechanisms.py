@@ -29,7 +29,8 @@ caller hands the admitted student and her position row; imc works them
 out once per value level, for every subset it tries there. irc, the
 hottest loop, inlines the same body for its one or two entries and keeps
 its drawable entries as a sorted index list, so a draw costs one index
-instead of a scan of every entry. Both re-seat through _Engine.reseat.
+instead of a scan of every entry. All four re-seat through
+_Engine.reseat, the one place that calls `fits`.
 
 imc, idc and iuc share one pass loop: a random order over their colleges or
 entries, visited in full, repeated until a pass changes nothing. imc builds
@@ -126,8 +127,8 @@ class _Engine:
     the index c * width + r of the pair she holds, -1 when she is unmatched.
 
     Invariant: held and entry always describe the induced matching of K, and
-    that matching is feasible. try_raise keeps them in sync; finish builds
-    the Contracts.
+    that matching is feasible. try_raise and reseat keep them in sync;
+    finish builds the Contracts.
     """
 
     __slots__ = ("m", "width", "K", "pos", "held", "entry", "ccount", "rcount", "moves")
