@@ -20,7 +20,13 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .blocking import BLOCK_CATEGORIES, audit
-from .generate import GenConfig, _require_type, check_config_keys, generate_market
+from .generate import (
+    ALIGNMENTS,
+    GenConfig,
+    _require_type,
+    check_config_keys,
+    generate_market,
+)
 from .market import Market, _require_keys, validate_market
 from .mechanisms import MECHANISM_ORDER, MECHANISMS
 
@@ -302,11 +308,14 @@ def _check_result_row(i: int, row) -> None:
         raise ValueError(
             f"{where} key 'mechanism' names unknown mechanism {row['mechanism']!r}"
         )
-    if not isinstance(row["alignment"], str):
-        raise ValueError(f"{where} key 'alignment' must be a string")
+    if row["alignment"] not in ALIGNMENTS:
+        raise ValueError(
+            f"{where} key 'alignment' names unknown alignment {row['alignment']!r}"
+        )
     counts = row["counts"]
     _require_keys(f"{where} key 'counts'", counts, BLOCK_CATEGORIES)
-    for key, value in [*counts.items(), ("total", row["total"])]:
+    ids = [(key, row[key]) for key in ("replica", "market_seed", "mech_seed")]
+    for key, value in [*ids, *counts.items(), ("total", row["total"])]:
         if not isinstance(value, int) or isinstance(value, bool) or value < 0:
             raise ValueError(
                 f"{where} key {key!r} must be a non-negative int, not {value!r}"

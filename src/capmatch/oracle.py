@@ -9,8 +9,8 @@ and raise OracleBoundError instead of hanging.
 One walk (_walk) finds every feasible IR matching and records it as a
 position row: each student's list position in it, her list length when
 she is unmatched. enumerate_matchings builds a Matching from each row; a
-census keeps the rows, and its `matchings` builds each Matching only when
-it is read (_Matchings).
+census keeps the rows, and its `matchings` builds every Matching on its
+first read (_Matchings).
 
 census audits all of a market's rows at once (_audit_rows); it is the
 array audit's one caller. The market's list entries are fixed, and a
@@ -18,8 +18,8 @@ matching only decides which of them are candidates and the counts and
 holders' ranks they are tested against, so each of audit's tests is one
 array operation over the matchings-by-entries grid, in blocks of rows of
 about _BLOCK_CELLS cells. It keeps only arrays: per-row counts and flags,
-and every witness as a code. A census's `reports` builds the witnesses
-and each report only when they are read (_Reports), and two censuses
+and every witness as a code. A census's `reports` builds every witness
+and report in one pass on its first read (_Reports), and two censuses
 compare their arrays. Both lazy sequences share one tuple-like base
 (_LazyTuple). A lone audit keeps blocking's one-matching scan, whose
 memory does not grow with the list lengths times n: the census covers
@@ -41,7 +41,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, fields
-from itertools import chain, permutations
+from itertools import chain, islice, permutations
 from math import factorial, perm, prod
 from operator import getitem
 from typing import Callable, Optional, Union
@@ -165,66 +165,43 @@ def enumerate_matchings(m: Market, bound: int = DEFAULT_BOUND) -> list[Matching]
 
 
 class _LazyTuple(Sequence):
-    """A tuple-like sequence over a contract table and arrays that builds
-    each item when it is first read, and keeps it.
-
-    It indexes (negative indices too), slices (into a tuple), iterates,
-    compares from either side, hashes, prints and pickles as the tuple of
-    its items; Sequence adds `in` and reversed on top of indexing and
-    iterating. A subclass says how to build items lo..hi-1 (_build); the
-    first array holds one entry per item. Iterating, index and count
-    build every item not yet built in one _build call, and index and count
-    answer as the tuple does, its ValueError message included. Two
-    sequences of one class with equal tables and equal arrays are equal
-    without building any item; any other pair compares the items.
+    """A tuple-like sequence over a contract table and arrays. The first
+    read that needs an item builds every item in one pass (_build, in a
+    subclass) and keeps them as a tuple; every read but len and == then
+    answers as that tuple does, its errors included, and Sequence adds
+    `in`, reversed and count on top of indexing and iterating. The first
+    array holds one entry per item, so len builds nothing. Two sequences
+    of one class with equal tables and equal arrays are equal without
+    building any item; any other pair compares the items. A sequence
+    pickles as its table and arrays.
     """
 
-    __slots__ = ("_table", "_arrays", "_built", "_unbuilt")
+    __slots__ = ("_table", "_arrays", "_tuple")
 
     def __init__(self, table: tuple[tuple, ...], *arrays: np.ndarray):
         self._table = table
         self._arrays = arrays
-        self._unbuilt = len(arrays[0])
-        self._built: list = [None] * self._unbuilt
+        self._tuple: Optional[tuple] = None
 
-    def _build(self, lo: int, hi: int) -> list:
+    def _build(self) -> list:
         raise NotImplementedError
 
+    def _items(self) -> tuple:
+        if self._tuple is None:
+            self._tuple = tuple(self._build())
+        return self._tuple
+
     def __len__(self) -> int:
-        return len(self._built)
+        return len(self._arrays[0])
 
     def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(map(self.__getitem__, range(len(self))[i]))
-        built = self._built
-        try:
-            x = built[i]
-        except IndexError:
-            raise IndexError("tuple index out of range") from None
-        if x is None:
-            i = range(len(built))[i]
-            x = built[i] = self._build(i, i + 1)[0]
-            self._unbuilt -= 1
-        return x
-
-    def _items(self) -> list:
-        """Every item, building those not yet built in one _build call."""
-        if self._unbuilt:
-            fresh = self._build(0, len(self))
-            if self._unbuilt < len(fresh):  # keep the items already read
-                fresh = [f if x is None else x for x, f in zip(self._built, fresh)]
-            self._built = fresh
-            self._unbuilt = 0
-        return self._built
+        return self._items()[i]
 
     def __iter__(self):
         return iter(self._items())
 
     def index(self, x, *bounds) -> int:
-        return tuple(self._items()).index(x, *bounds)
-
-    def count(self, x) -> int:
-        return self._items().count(x)
+        return self._items().index(x, *bounds)
 
     def __eq__(self, other):
         if isinstance(other, _LazyTuple):
@@ -236,13 +213,13 @@ class _LazyTuple(Sequence):
                 return True
         elif not isinstance(other, tuple):
             return NotImplemented
-        return tuple(self) == tuple(other)
+        return self._items() == tuple(other)
 
     def __hash__(self) -> int:
-        return hash(tuple(self))
+        return hash(self._items())
 
     def __repr__(self) -> str:
-        return repr(tuple(self))
+        return repr(self._items())
 
     def __reduce__(self):
         return type(self), (self._table, *self._arrays)
@@ -254,9 +231,9 @@ class _Matchings(_LazyTuple):
 
     __slots__ = ()
 
-    def _build(self, lo: int, hi: int) -> list[Matching]:
+    def _build(self) -> list[Matching]:
         table = self._table
-        return [_matching_of(table, row) for row in self._arrays[0][lo:hi].tolist()]
+        return [_matching_of(table, row) for row in self._arrays[0].tolist()]
 
 
 class _Reports(_LazyTuple):
@@ -268,63 +245,37 @@ class _Reports(_LazyTuple):
     The codes run in row-major order, so each row's witnesses follow the
     previous row's.
 
-    The first read builds every witness: one shared tuple per (entry,
+    The build makes every witness first: one shared tuple per (entry,
     kind), and one per distinct coded envy row. Each report is then
     _make_report of its row's witnesses and columns, as audit builds it.
     """
 
-    __slots__ = ("_witnesses",)
+    __slots__ = ()
 
-    def __init__(self, table: tuple[tuple, ...], *arrays: np.ndarray):
-        super().__init__(table, *arrays)
-        self._witnesses: Optional[tuple] = None
-
-    def _flat(self) -> tuple[list, list, np.ndarray, np.ndarray]:
-        """Every row's waste and envy witnesses, in row order, and where
-        each row's first waste and envy witness sits."""
-        if self._witnesses is None:
-            n_waste, _n_res, n_envy, *_flags, waste_codes, coded, direct = self._arrays
-            xs = [x for contracts in self._table for x in contracts[:-1]]
-            waste_of = [w for x in xs for w in ((x, SEAT), (x, RESOURCE))]
-            envy = []
-            if len(coded):
-                # one shared witness per distinct coded row
-                first, group = _distinct_rows(coded, len(xs))
-                witnesses = [
-                    (xs[x_e], tuple(xs[code - 1] for code in codes if code), d)
-                    for (x_e, *codes), d in zip(
-                        coded[first].tolist(), direct[first].tolist()
-                    )
-                ]
-                envy = list(map(witnesses.__getitem__, group.tolist()))
-            self._witnesses = (
-                list(map(waste_of.__getitem__, waste_codes.tolist())),
-                envy,
-                np.cumsum(n_waste) - n_waste,
-                np.cumsum(n_envy) - n_envy,
+    def _build(self) -> list[BlockingReport]:
+        *columns, waste_codes, coded, direct = self._arrays
+        xs = [x for contracts in self._table for x in contracts[:-1]]
+        waste_of = [w for x in xs for w in ((x, SEAT), (x, RESOURCE))]
+        first, group = _distinct_rows(coded, len(xs))
+        witnesses = [
+            (xs[x_e], tuple(xs[code - 1] for code in codes if code), d)
+            for (x_e, *codes), d in zip(coded[first].tolist(), direct[first].tolist())
+        ]
+        waste = map(waste_of.__getitem__, waste_codes.tolist())
+        envy = map(witnesses.__getitem__, group.tolist())
+        return [
+            _make_report(
+                tuple(islice(waste, n_w)),
+                tuple(islice(envy, n_env)),
+                n_res,
+                n_dir,
+                weakly_stable,
+                direct_envy_stable,
             )
-        return self._witnesses
-
-    def _build(self, lo: int, hi: int) -> list[BlockingReport]:
-        waste, envy, w_start, e_start = self._flat()
-        w_at, e_at = int(w_start[lo]), int(e_start[lo])
-        reports = []
-        for n_w, n_res, n_env, n_dir, weakly_stable, direct_envy_stable in zip(
-            *(a[lo:hi].tolist() for a in self._arrays[:6])
-        ):
-            reports.append(
-                _make_report(
-                    tuple(waste[w_at : w_at + n_w]),
-                    tuple(envy[e_at : e_at + n_env]),
-                    n_res,
-                    n_dir,
-                    weakly_stable,
-                    direct_envy_stable,
-                )
+            for n_w, n_res, n_env, n_dir, weakly_stable, direct_envy_stable in zip(
+                *(a.tolist() for a in columns)
             )
-            w_at += n_w
-            e_at += n_env
-        return reports
+        ]
 
 
 def _position_matrix(m: Market, matchings: Sequence[Matching]) -> np.ndarray:
@@ -414,7 +365,7 @@ def _audit_rows(
     m: Market, table: tuple[tuple, ...], P: np.ndarray
 ) -> tuple[_Reports, tuple[np.ndarray, ...]]:
     """The audit of each matching of the position rows P, in order, as a
-    _Reports that builds each report when it is read, and five boolean
+    _Reports that builds every report on its first read, and five boolean
     arrays over the rows: stable, envy_free, non_wasteful, weakly_stable
     and direct_envy_stable, the census's flag sets.
 
@@ -618,11 +569,11 @@ class StabilityCensus:
     """Audit of every feasible IR matching of one market.
 
     The sets hold indices into `matchings`. `matchings` and `reports` are
-    tuple-like sequences that build each Matching or BlockingReport when it
-    is first read, and compare, hash, print and pickle as the tuples of
-    their items; isinstance(..., tuple) holds for neither. Iterating over
-    `reports` builds every report in one pass. Two censuses compare their
-    walks' rows and their array audits' arrays, without building an item.
+    tuple-like sequences that build all their Matchings or BlockingReports
+    in one pass on the first read that needs an item, and then answer as
+    the tuples of their items; isinstance(..., tuple) holds for neither.
+    len builds nothing, and two censuses compare their walks' rows and
+    their array audits' arrays, without building an item.
     The census only reports what the audits found; it deliberately
     enforces no inclusion between the sets.
     """
@@ -637,7 +588,8 @@ class StabilityCensus:
     pareto_efficient: tuple[int, ...]
 
     def set_of(self, name: str) -> list[Matching]:
-        """The matchings in one of CENSUS_SETS; AttributeError for any other name."""
+        """The matchings in one of CENSUS_SETS; AttributeError for any other
+        name. On a fresh census this builds every matching."""
         if name not in CENSUS_SETS:
             raise AttributeError(f"a census has no set {name!r}")
         return [self.matchings[i] for i in getattr(self, name)]

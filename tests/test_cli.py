@@ -96,6 +96,16 @@ def row_1(doc):
          "results row 1 key 'mechanism' names unknown mechanism 'xyz'"),
         (lambda doc: row_1(doc).pop("alignment"),
          "results row 1 lacks key 'alignment'"),
+        (lambda doc: row_1(doc).update(alignment="diagonal"),
+         "results row 1 key 'alignment' names unknown alignment 'diagonal'"),
+        (lambda doc: row_1(doc).update(replica="x"),
+         "results row 1 key 'replica' must be a non-negative int, not 'x'"),
+        (lambda doc: row_1(doc).update(replica=False),
+         "results row 1 key 'replica' must be a non-negative int, not False"),
+        (lambda doc: row_1(doc).update(market_seed=-5),
+         "results row 1 key 'market_seed' must be a non-negative int, not -5"),
+        (lambda doc: row_1(doc).update(mech_seed=1.5),
+         "results row 1 key 'mech_seed' must be a non-negative int, not 1.5"),
         (lambda doc: row_1(doc).update(total=10**6),
          "results row 1 key 'total' is 1000000, but its counts sum to "),
         (lambda doc: doc["results"].__setitem__(1, 5),
@@ -104,7 +114,9 @@ def row_1(doc):
          "results key 'results' must be a list of runs"),
     ],
     ids=["string-count", "bool-count", "negative-count", "missing-count",
-         "unknown-count", "unknown-mechanism", "missing-key", "wrong-total",
+         "unknown-count", "unknown-mechanism", "missing-key", "unknown-alignment",
+         "string-replica", "bool-replica", "negative-market-seed",
+         "float-mech-seed", "wrong-total",
          "row-not-an-object", "results-not-a-list"],
 )
 def test_table_refuses_a_malformed_results_file(

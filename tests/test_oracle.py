@@ -469,6 +469,10 @@ def test_census_matchings_behave_as_the_tuple_of_the_enumeration():
         _assert_searches_as_the_tuple(lazy, expected)
         with pytest.raises(IndexError, match="^tuple index out of range$"):
             lazy[len(expected)]
+        with pytest.raises(
+            TypeError, match="^tuple indices must be integers or slices, not str$"
+        ):
+            lazy["x"]
         assert pickle.loads(pickle.dumps(lazy)) == expected
         assert pickle.loads(pickle.dumps(cen)) == cen
         assert replace(cen, matchings=expected) == cen
@@ -510,70 +514,80 @@ def test_census_reports_behave_as_the_tuple_of_lone_audits():
         _assert_searches_as_the_tuple(lazy, expected)
         with pytest.raises(IndexError, match="^tuple index out of range$"):
             lazy[len(expected)]
+        with pytest.raises(
+            TypeError, match="^tuple indices must be integers or slices, not str$"
+        ):
+            lazy["x"]
         assert pickle.loads(pickle.dumps(lazy)) == expected
         assert pickle.loads(pickle.dumps(cen)) == cen
         assert replace(cen, reports=expected) == cen
         assert cen == replace(cen, reports=expected)
 
 
-def test_census_reports_read_one_first_then_all():
-    """Reading one report first builds only that slot; iterating then
-    builds the rest, keeps the one already read, and gives every report."""
-    for name in fixture_names():
-        m = load_fixture(name)
-        expected = [audit(m, mu) for mu in enumerate_matchings(m)]
-        lazy = census(m).reports
-        i = len(expected) // 2
-        first = lazy[i]
-        assert first == expected[i]
-        assert sum(rep is not None for rep in lazy._built) == 1
-        assert list(lazy) == expected
-        assert lazy[i] is first and list(lazy)[i] is first
+def _count_builds(monkeypatch, which: str) -> list:
+    """A list that gets one entry per _build call of the census sequence
+    named by which (reports or matchings) from now on."""
+    lazy_type = type(getattr(census(load_fixture("example1")), which))
+    real_build = lazy_type._build
+    builds = []
+
+    def counting_build(self):
+        builds.append(len(self))
+        return real_build(self)
+
+    monkeypatch.setattr(lazy_type, "_build", counting_build)
+    return builds
 
 
 @pytest.mark.parametrize("which", ["reports", "matchings"])
 def test_census_search_builds_once_and_fails_as_the_tuple(which, monkeypatch):
-    """index and count on a fresh census build every item in one _build
-    call, and an absent item raises the tuple's ValueError message."""
+    """On a fresh census len builds nothing, and any first read builds
+    every item in one _build call; later reads build nothing more. An
+    absent item raises the tuple's ValueError message."""
     m = load_fixture("prop4")
     expected = tuple(getattr(census(m), which))
-    builds = []
-    lazy_type = type(getattr(census(m), which))
-    real_build = lazy_type._build
-
-    def counting_build(self, lo, hi):
-        builds.append((lo, hi))
-        return real_build(self, lo, hi)
-
-    monkeypatch.setattr(lazy_type, "_build", counting_build)
+    n = len(expected)
+    builds = _count_builds(monkeypatch, which)
+    reads = {
+        "index": lambda lazy: lazy[n // 2] == expected[n // 2],
+        "slice": lambda lazy: lazy[1:3] == expected[1:3],
+        "in": lambda lazy: expected[-1] in lazy,
+        "reversed": lambda lazy: next(reversed(lazy)) == expected[-1],
+        "index()": lambda lazy: lazy.index(expected[-1]) == n - 1,
+        "count": lambda lazy: lazy.count(expected[1]) == 1,
+        "iteration": lambda lazy: list(lazy) == list(expected),
+        "repr": lambda lazy: repr(lazy) == repr(expected),
+    }
+    for name, read in reads.items():
+        lazy = getattr(census(m), which)
+        assert len(lazy) == n and builds == [], name
+        assert read(lazy) and read(lazy) and lazy[-1] == expected[-1], name
+        assert builds == [n], name
+        builds.clear()
     message = r"^tuple\.index\(x\): x not in tuple$"
     with pytest.raises(ValueError, match=message):
         expected.index(object())
-    lazy = getattr(census(m), which)
     with pytest.raises(ValueError, match=message):
         lazy.index(object())
-    assert builds == [(0, len(expected))]
-    assert lazy.index(expected[-1]) == len(expected) - 1
     with pytest.raises(ValueError, match=message):
         lazy.index(expected[-1], 0, -1)
-    assert builds == [(0, len(expected))]
-    fresh = getattr(census(m), which)
-    assert fresh.count(expected[1]) == expected.count(expected[1]) == 1
-    assert fresh.count(object()) == 0
-    assert builds == [(0, len(expected))] * 2
+    assert builds == []
 
 
-def test_two_censuses_compare_equal_without_building_a_report():
-    """Equal contract tables and equal audit arrays make two census report
-    sequences equal; the comparison builds no report. Sequences of
-    different markets fall back to comparing the reports, also when only
-    the priorities differ, so that the tables and matchings are equal."""
+@pytest.mark.parametrize("which", ["reports", "matchings"])
+def test_two_censuses_compare_equal_without_building(which, monkeypatch):
+    """Equal contract tables and equal arrays make two census sequences,
+    and so two censuses, equal; the comparison builds no item. Sequences
+    of different markets fall back to comparing the items; for reports
+    that holds also when only the priorities differ, so that the tables
+    and the matchings are equal."""
     m = load_fixture("prop4")
+    builds = _count_builds(monkeypatch, which)
     a, b = census(m), census(m)
-    assert a == b
-    assert a.reports._built == b.reports._built == [None] * len(a.reports)
-    other = census(load_fixture("prop2")).reports
-    assert a.reports != other and other != a.reports
+    assert a == b and getattr(a, which) == getattr(b, which)
+    assert builds == []
+    other = getattr(census(load_fixture("prop2")), which)
+    assert getattr(a, which) != other and other != getattr(a, which)
     flipped = census(
         Market(
             m.n_students,
@@ -585,7 +599,8 @@ def test_two_censuses_compare_equal_without_building_a_report():
         )
     )
     assert flipped.matchings == a.matchings
-    assert flipped.reports != a.reports and a.reports != flipped.reports
+    if which == "reports":
+        assert flipped.reports != a.reports and a.reports != flipped.reports
 
 
 def test_census_reports_are_the_same_over_several_blocks(monkeypatch):
@@ -605,15 +620,3 @@ def test_the_row_audit_refuses_a_row_over_quota():
     assert len(oracle._audit_rows(m, table, np.array([[0, 2], [2, 0]]))[0]) == 2
     with pytest.raises(ValueError, match="^matching is not feasible$"):
         oracle._audit_rows(m, table, np.array([[0, 2], [0, 0]]))
-
-
-def test_two_censuses_compare_equal_without_building_a_matching():
-    """Equal contract tables and equal rows make two census sequences
-    equal; the comparison builds no Matching. Sequences of different
-    markets fall back to comparing the matchings."""
-    m = load_fixture("prop4")
-    a, b = census(m).matchings, census(m).matchings
-    assert a == b
-    assert a._built == b._built == [None] * len(a)
-    other = census(load_fixture("prop2")).matchings
-    assert a != other and other != a
